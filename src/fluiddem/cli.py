@@ -81,16 +81,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise ValueError(f"field 'sizes': cannot parse override {text!r}") from exc
 
 
-def _experiment_config(args) -> harness.ExperimentConfig:
-    raw = _load_json(args.config)
-    cfg = harness.config_from_dict(raw)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(args.seed))
-    if args.sizes is not None:
-        cfg = dataclasses.replace(cfg, sizes=_parse_sizes(args.sizes))
-    return cfg
-
-
 def _validate_for_command(command: str, cfg: harness.ExperimentConfig) -> None:
     if command == "gain" and isinstance(cfg.gain_mode, harness.ExactGainMode):
         if max(cfg.sizes) > cfg.gain_mode.cap:
@@ -171,6 +161,8 @@ def main(argv=None) -> int:
             if args.sizes is not None:
                 cfg = dataclasses.replace(cfg, sizes=_parse_sizes(args.sizes))
             _validate_for_command(command, cfg)
+        if args.threads < 1:
+            raise ValueError(f"field 'threads': must be >= 1, got {args.threads}")
         out_dir = None
         if args.out is not None:
             out_dir = Path(args.out)
@@ -179,7 +171,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    threads = max(1, int(args.threads))
+    threads = args.threads
     try:
         if command == "processes":
             phi, dist, p, eps = bucket_inputs

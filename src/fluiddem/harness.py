@@ -462,9 +462,11 @@ def _gain_row(args):
     p_vec, graph = sample_instance(mech, dist, n, rng)
     profile = compute_weights(graph)
     if isinstance(gain_mode, ExactGainMode):
-        report = exact_gain(p_vec, graph, cap=gain_mode.cap)
+        report = exact_gain(p_vec, graph, cap=gain_mode.cap, weights=profile.weight)
     else:
-        report = monte_carlo_gain(p_vec, graph, gain_mode.reps, gain_mode.delta, rng)
+        report = monte_carlo_gain(
+            p_vec, graph, gain_mode.reps, gain_mode.delta, rng, weights=profile.weight
+        )
     return (
         n,
         rep,

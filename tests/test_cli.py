@@ -77,6 +77,15 @@ def test_oversized_exact_gain_exits_one(tmp_path, capsys):
     assert "sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_nonpositive_threads_exits_one(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, GAIN_CONFIG)
+    out = tmp_path / "x"
+    assert main(["gain", "--config", cfg, "--out", str(out), "--threads", threads]) == 1
+    assert "field 'threads'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conditions_and_scaling_commands(tmp_path):
     cfg = write_config(tmp_path, {**GAIN_CONFIG, "alpha": 0.01})
     out1 = tmp_path / "cond"

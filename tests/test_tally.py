@@ -17,7 +17,7 @@ from fluiddem import (
     weighted_poisson_binomial_tail,
 )
 from fluiddem.delegation_graph import NO_EDGE, DelegationGraph
-from fluiddem.tally import hoeffding_halfwidth
+from fluiddem.tally import DIRECT_PRODUCT_MAX_LEN, dp_tail, hoeffding_halfwidth
 
 
 def graph_of(*out):
@@ -58,6 +58,36 @@ def test_dp_matches_brute_force(data):
     dp = weighted_poisson_binomial_tail(weights, probs, threshold)
     bf = brute_force_tail(weights, probs, threshold)
     assert abs(dp - bf) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, DIRECT_PRODUCT_MAX_LEN - 1, DIRECT_PRODUCT_MAX_LEN, 2 * DIRECT_PRODUCT_MAX_LEN + 1, 1000, 20_000],
+)
+def test_fft_tail_matches_dp(n):
+    rng = substream(7, n)
+    for kind in ("geometric", "degenerate", "near_one", "near_zero", "heavy", "zero"):
+        p = rng.random(n)
+        w = rng.geometric(0.5, size=n) - 1
+        if kind == "degenerate":
+            p[rng.random(n) < 0.2] = 0.0
+            p[rng.random(n) < 0.2] = 1.0
+        elif kind == "near_one":  # large top coefficients at every tree level
+            p = 1.0 - 0.01 * p
+        elif kind == "near_zero":  # a long tail made of FFT round-off
+            p = 0.01 * p
+        elif kind == "heavy":  # few roots hold all the weight
+            w = np.zeros(n, dtype=np.int64)
+            w[rng.integers(0, n, size=3)] = n // 3 + 1
+        elif kind == "zero":
+            w = np.zeros(n, dtype=np.int64)
+        thresholds = (n / 2.0, float(w @ p), float(rng.integers(-1, w.sum() + 2)))
+        for threshold in thresholds:
+            fft = weighted_poisson_binomial_tail(w, p, threshold)
+            assert abs(fft - dp_tail(w, p, threshold)) <= 1e-12
+    direct = direct_tail(p)
+    assert direct == weighted_poisson_binomial_tail(np.ones(n, dtype=np.int64), p, n / 2.0)
+    assert abs(direct - dp_tail(np.ones(n, dtype=np.int64), p, n / 2.0)) <= 1e-12
 
 
 def test_tail_threshold_extremes():
