@@ -5,12 +5,17 @@ one). Voter i either votes directly (no out-edge) or delegates to out[i].
 Votes flow transitively toward non-delegating voters; voters sitting on a
 delegation cycle, or delegating into one, are nullified and contribute no
 weight (the worst-case treatment of cycles).
+
+One pointer-doubling kernel, forest_roots, finds where every walk ends: the
+nullified voters are those whose walk ends on a delegating voter, and the
+weights are a bincount of the other walks' ends.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,17 +53,37 @@ class DelegationGraph:
 class WeightProfile:
     """Transitive delegation tallies for one graph.
 
-    dels[i] counts the (non-nullified) voters whose ballots flow into i;
     weight[i] = 1 + dels[i] for a non-delegating, non-nullified voter and 0
     otherwise; nullified lists voters on cycles or delegating into them.
-    Nullified voters report dels = 0.
+    out and root (= forest_roots(out)) are kept for dels, built on first use.
     """
 
-    dels: np.ndarray
     weight: np.ndarray
     nullified: np.ndarray  # sorted voter indices
     max_weight: int
     total_weight: int
+    out: np.ndarray = field(repr=False)
+    root: np.ndarray = field(repr=False)
+
+    @cached_property
+    def dels(self) -> np.ndarray:
+        """dels[i] counts the (non-nullified) voters whose ballots flow into i.
+
+        Nullified voters report dels = 0. Subtree sizes are accumulated from
+        the leaves up, one frontier of finished subtrees at a time.
+        """
+        active = self.out[self.root] < 0
+        out = np.where(active, self.out, NO_EDGE)  # an acyclic forest
+        cnt = np.ones(out.shape[0], dtype=np.int64)
+        remaining = np.bincount(out[out >= 0], minlength=out.shape[0])
+        frontier = np.flatnonzero((remaining == 0) & (out >= 0))
+        while frontier.size:
+            parents = out[frontier]
+            np.add.at(cnt, parents, cnt[frontier])
+            np.subtract.at(remaining, parents, 1)
+            parents = np.unique(parents)
+            frontier = parents[(remaining[parents] == 0) & (out[parents] >= 0)]
+        return np.where(active, cnt - 1, 0)
 
 
 def stats(profile: WeightProfile) -> tuple[int, int, int]:
@@ -70,70 +95,38 @@ def stats(profile: WeightProfile) -> tuple[int, int, int]:
 # weight computation
 
 
-def _nullified_mask(out: np.ndarray, n: int) -> np.ndarray:
-    """Voters whose forward walk reaches a cycle (members included).
+def forest_roots(out: np.ndarray) -> np.ndarray:
+    """Where each voter's delegation walk ends, by pointer doubling.
 
-    Iterative pointer walk with three-color marking; O(n), no recursion.
+    Direct voters (out < 0) point at themselves and the pointer array is
+    squared, root = root[root], until it stops changing, for at most
+    (n-1).bit_length() rounds, enough for a walk of n-1 edges. A walk that
+    ends at a direct voter returns that voter; a walk into a cycle never
+    settles and returns a voter that still delegates.
     """
-    color = bytearray(n)  # 0 unvisited, 1 on current walk, 2 resolved
-    nullified = np.zeros(n, dtype=bool)
-    out_list = out.tolist()
-    for start in range(n):
-        if color[start]:
-            continue
-        path = []
-        v = start
-        while True:
-            c = color[v]
-            if c == 1:
-                # v is on the current walk: everything on the walk feeds the cycle
-                for u in path:
-                    nullified[u] = True
-                break
-            if c == 2:
-                res = bool(nullified[v])
-                for u in path:
-                    nullified[u] = res
-                break
-            color[v] = 1
-            path.append(v)
-            nxt = out_list[v]
-            if nxt < 0:
-                break  # reached a direct voter: whole walk is safe
-            v = nxt
-        for u in path:
-            color[u] = 2
-    return nullified
+    n = out.shape[0]
+    root = np.where(out < 0, np.arange(n), out)
+    for _ in range((n - 1).bit_length()):
+        nxt = root[root]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    return root
 
 
 def compute_weights(graph: DelegationGraph) -> WeightProfile:
-    """Weights, delegation counts and the nullified set for one graph."""
-    n = graph.n
+    """Weights and the nullified set for one graph (dels on first access)."""
     out = graph.out
-    nullified = _nullified_mask(out, n)
-    active = ~nullified
-
-    # subtree sizes over the active forest (edges point from child to parent)
-    cnt = np.ones(n, dtype=np.int64)
-    has_parent = active & (out != NO_EDGE)
-    indeg = np.bincount(out[has_parent], minlength=n)
-    remaining = indeg.copy()
-    frontier = np.where(active & (remaining == 0) & (out != NO_EDGE))[0]
-    while frontier.size:
-        parents = out[frontier]
-        np.add.at(cnt, parents, cnt[frontier])
-        np.subtract.at(remaining, parents, 1)
-        parents = np.unique(parents)
-        frontier = parents[(remaining[parents] == 0) & (out[parents] != NO_EDGE)]
-
-    dels = np.where(active, cnt - 1, 0)
-    weight = np.where(active & (out == NO_EDGE), cnt, 0)
+    root = forest_roots(out)
+    nullified = out[root] >= 0
+    weight = np.bincount(root[~nullified], minlength=graph.n)
     return WeightProfile(
-        dels=dels,
         weight=weight,
-        nullified=np.where(nullified)[0],
+        nullified=np.flatnonzero(nullified),
         max_weight=int(weight.max(initial=0)),
         total_weight=int(weight.sum()),
+        out=out,
+        root=root,
     )
 
 
@@ -143,6 +136,22 @@ def compute_weights(graph: DelegationGraph) -> WeightProfile:
 
 def _inverse_cdf_targets(cum: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     return np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
+
+
+def _count_greater(p_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable descending order of p_vec, and per voter the number of
+    voters with strictly greater p.
+
+    In that order a voter's count is the position where its tie group
+    starts; the count is scattered back to voter order.
+    """
+    n = p_vec.shape[0]
+    order = np.argsort(-p_vec, kind="stable")
+    desc = p_vec[order]
+    first = np.concatenate(([True], desc[1:] != desc[:-1]))
+    greater = np.empty(n, dtype=np.int64)
+    greater[order] = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    return order, greater
 
 
 def sample_graph(mech: MechanismSpec, competencies, rng: np.random.Generator) -> DelegationGraph:
@@ -162,9 +171,7 @@ def sample_graph(mech: MechanismSpec, competencies, rng: np.random.Generator) ->
     if isinstance(mech, Upward):
         # uniform target among strictly more competent voters; the most
         # competent voter places zero weight everywhere and votes directly
-        asc = np.sort(p_vec)
-        greater = n - np.searchsorted(asc, p_vec, side="right")
-        desc_order = np.argsort(-p_vec, kind="stable")
+        desc_order, greater = _count_greater(p_vec)
         delegators = np.where((u_delegate < mech.p) & (greater > 0))[0]
         ranks = np.floor(rng.random(delegators.size) * greater[delegators]).astype(np.int64)
         ranks = np.minimum(ranks, greater[delegators] - 1)
@@ -260,6 +267,7 @@ __all__ = [
     "sample_graph",
     "sample_instance",
     "compute_weights",
+    "forest_roots",
     "stats",
     "component_sizes",
     "to_edge_csv",

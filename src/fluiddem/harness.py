@@ -295,6 +295,10 @@ def _parallel_map(fn, items, threads: int):
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -453,7 +457,10 @@ def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> Conditi
 # gain sweep
 
 
-GAIN_HEADER = ["n", "rep", "gain", "p_direct", "p_fluid", "max_weight", "nullified"]
+GAIN_HEADER = [
+    "n", "rep", "gain", "p_direct", "p_fluid", "max_weight", "nullified",
+    "method", "ci_halfwidth", "reps",  # the tally behind the row; empty cells on exact rows
+]
 
 
 def _gain_row(args):
@@ -475,11 +482,14 @@ def _gain_row(args):
         report.p_fluid,
         profile.max_weight,
         len(profile.nullified),
+        report.method,
+        report.ci_halfwidth,
+        report.reps,
     )
 
 
 def run_gain_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
-    """One (n, rep, gain, p_direct, p_fluid, max_weight, nullified) row per rep."""
+    """One row per rep, with the GAIN_HEADER columns (ci_halfwidth and reps None on exact rows)."""
     if isinstance(cfg.gain_mode, ExactGainMode) and max(cfg.sizes) > cfg.gain_mode.cap:
         raise ValueError(
             f"field 'sizes': exact gain supports n <= {cfg.gain_mode.cap}; "

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import distributions
+from .delegation_graph import NO_EDGE, _count_greater, forest_roots
 from .mechanisms import (
     ConfidenceBased,
     MechanismSpec,
@@ -40,7 +41,7 @@ MAX_BUCKETS = 2048
 
 
 def simulate_simon_components(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Sizes of all components after n sequential arrivals.
+    """Sizes of all components after n sequential arrivals, in founding order.
 
     Arrival t joins an existing component C with probability p*|C|/(t-1)
     (realized by picking a uniform earlier arrival), otherwise founds a new
@@ -50,19 +51,14 @@ def simulate_simon_components(n: int, p: float, rng: np.random.Generator) -> np.
         raise ValueError("n must be >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    sizes = [1]
-    owner = [0]
+    # a random recursive forest: arrival i > 0 that joins points at the
+    # uniform earlier arrival floor(u_pick[i] * i); founders are the roots
     u_join = rng.random(n)
     u_pick = rng.random(n)
-    for t in range(2, n + 1):
-        if u_join[t - 1] < p:
-            comp = owner[int(u_pick[t - 1] * (t - 1))]
-            sizes[comp] += 1
-            owner.append(comp)
-        else:
-            owner.append(len(sizes))
-            sizes.append(1)
-    return np.asarray(sizes, dtype=np.int64)
+    parent = (u_pick * np.arange(n)).astype(np.int64)
+    parent[u_join >= p] = NO_EDGE
+    parent[0] = NO_EDGE
+    return np.bincount(forest_roots(parent), minlength=n)[parent < 0]
 
 
 def simulate_w_process(n: int, k: int, p: float, rng: np.random.Generator) -> int:
@@ -154,8 +150,7 @@ def _pair_weight_row_sums(mech: MechanismSpec, p_vec: np.ndarray) -> np.ndarray:
     if isinstance(mech, ConfidenceBased):
         return np.full(n, float(n - 1))
     if isinstance(mech, Upward):
-        asc = np.sort(p_vec)
-        return (n - np.searchsorted(asc, p_vec, side="right")).astype(float)
+        return _count_greater(p_vec)[1].astype(float)
     phi = mech.phi
     if not phi.depends_on_x:
         g = np.asarray(phi(0.0, p_vec), dtype=float)

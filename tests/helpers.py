@@ -47,3 +47,24 @@ def dels_of_root(graph, root: int) -> int:
     for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 1):
         succ = succ[succ]
     return int(np.count_nonzero(succ == root)) - 1
+
+
+def sequential_simon_components(n: int, p: float, rng) -> np.ndarray:
+    """Component sizes of the arrival process, one arrival at a time (oracle).
+
+    Same draws as processes.simulate_simon_components: arrival t joins the
+    component of arrival int(u_pick[t-1] * (t-1)) when u_join[t-1] < p.
+    """
+    sizes = [1]
+    owner = [0]
+    u_join = rng.random(n)
+    u_pick = rng.random(n)
+    for t in range(2, n + 1):
+        if u_join[t - 1] < p:
+            comp = owner[int(u_pick[t - 1] * (t - 1))]
+            sizes[comp] += 1
+            owner.append(comp)
+        else:
+            owner.append(len(sizes))
+            sizes.append(1)
+    return np.asarray(sizes, dtype=np.int64)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -32,12 +33,24 @@ def test_gain_command_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "run"
     assert main(["gain", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
     lines = (out / "gain.csv").read_text().splitlines()
-    assert lines[0] == "n,rep,gain,p_direct,p_fluid,max_weight,nullified"
+    assert lines[0] == "n,rep,gain,p_direct,p_fluid,max_weight,nullified,method,ci_halfwidth,reps"
     assert len(lines) == 1 + 2 * 6
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
     assert manifest["command"] == "gain"
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_gain_csv_records_the_tally_of_each_row(tmp_path):
+    auto = {"kind": "auto", "cap": 150, "target_halfwidth": 0.1, "delta": 0.1}
+    cfg = write_config(tmp_path, {**GAIN_CONFIG, "reps_per_size": 2, "gain_mode": auto})
+    out = tmp_path / "run"
+    assert main(["gain", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "gain.csv").read_text().splitlines()[1:]]
+    tails = [[row[0]] + row[-3:] for row in rows]
+    reps = str(math.ceil(math.log(20.0) / 0.02))
+    ci = repr(math.sqrt(math.log(20.0) / (2 * int(reps))))
+    assert tails == [["120", "exact", "", ""]] * 2 + [["240", "monte_carlo", ci, reps]] * 2
 
 
 def test_sizes_override_filters_rows(tmp_path):

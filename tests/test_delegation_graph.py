@@ -18,6 +18,7 @@ from fluiddem import (
 from fluiddem.delegation_graph import (
     NO_EDGE,
     DelegationGraph,
+    _count_greater,
     component_sizes,
     from_edge_csv,
     sample_graph,
@@ -113,6 +114,30 @@ def test_matches_naive_oracle_on_random_graphs():
         assert profile.total_weight + len(profile.nullified) == graph.n
 
 
+def adversarial_shapes(n):
+    """Chain 0->1->...->n-1, an n-cycle, a chain feeding a 2-cycle, a star."""
+    shapes = {"chain": list(range(1, n)) + [NO_EDGE], "star": [NO_EDGE] + [0] * (n - 1)}
+    if n >= 2:
+        shapes["cycle"] = [(i + 1) % n for i in range(n)]
+        shapes["chain into 2-cycle"] = list(range(1, n)) + [n - 2]
+    return shapes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025])
+def test_adversarial_shapes_match_naive_oracle(n):
+    # at n = 1023 and 1024 the chain's walk from voter 0 needs every one of the
+    # (n-1).bit_length() = 10 doubling rounds the kernel allows
+    for name, out in adversarial_shapes(n).items():
+        profile = compute_weights(graph_of(*out))
+        assert "dels" not in vars(profile), "dels must be computed on first access only"
+        dels, weight, nullified = naive_profile(out)
+        assert profile.weight.tolist() == weight, name
+        assert profile.nullified.tolist() == nullified, name
+        assert profile.dels.tolist() == dels, name
+        assert profile.max_weight == max(weight), name
+        assert profile.total_weight == sum(weight), name
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_weight_conservation(data):
@@ -164,6 +189,31 @@ def test_upward_edges_point_upward_and_acyclic():
         delegators = np.where(graph.out != NO_EDGE)[0]
         assert np.all(p_vec[graph.out[delegators]] > p_vec[delegators])
         assert len(compute_weights(graph).nullified) == 0
+
+
+def test_upward_sampler_matches_sort_searchsorted_on_ties():
+    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    rng = substream(60)
+    for k in range(200):
+        n = 1 if k < 5 else int(rng.integers(2, 300))
+        p_vec = levels[rng.integers(0, levels.size, size=n)]
+        seed = int(rng.integers(0, 2**31))
+        graph = sample_graph(Upward(0.8), p_vec, substream(seed))
+        # reference: the sampler's former sort + searchsorted construction
+        ref_rng = substream(seed)
+        out = np.full(n, NO_EDGE, dtype=np.int64)
+        u_delegate = ref_rng.random(n)
+        asc = np.sort(p_vec)
+        greater = n - np.searchsorted(asc, p_vec, side="right")
+        desc_order = np.argsort(-p_vec, kind="stable")
+        delegators = np.where((u_delegate < 0.8) & (greater > 0))[0]
+        ranks = np.floor(ref_rng.random(delegators.size) * greater[delegators]).astype(np.int64)
+        ranks = np.minimum(ranks, greater[delegators] - 1)
+        out[delegators] = desc_order[ranks]
+        assert graph.out.tolist() == out.tolist()
+        order, count = _count_greater(p_vec)
+        assert order.tolist() == desc_order.tolist()
+        assert count.tolist() == greater.tolist()
 
 
 def test_confidence_based_targets_uniform():

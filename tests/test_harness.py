@@ -195,7 +195,7 @@ def test_gain_sweep_no_delegation_is_zero():
     cfg = make_config(mechanism=ConfidenceBased(ConstantQ(0.0)), sizes=(100,), reps_per_size=10)
     rows = run_gain_sweep(cfg)
     assert len(rows) == 10
-    for _, _, gain, p_direct, p_fluid, max_w, nullified in rows:
+    for _, _, gain, p_direct, p_fluid, max_w, nullified, *_ in rows:
         assert gain == 0.0
         assert p_direct == p_fluid
         assert max_w == 1
@@ -211,7 +211,7 @@ def test_gain_sweep_monte_carlo_mode_and_determinism():
     rows1 = run_gain_sweep(cfg, threads=1)
     rows2 = run_gain_sweep(cfg, threads=4)
     assert rows1 == rows2
-    for _, _, gain, p_direct, p_fluid, _, _ in rows1:
+    for _, _, gain, p_direct, p_fluid, *_ in rows1:
         assert -1.0 <= gain <= 1.0
         assert 0.0 <= p_direct <= 1.0 and 0.0 <= p_fluid <= 1.0
 

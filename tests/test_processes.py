@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import dels_of_root, pooled_chisq_pvalue
+from helpers import dels_of_root, pooled_chisq_pvalue, sequential_simon_components
 
 from fluiddem import (
     AffineInY,
@@ -53,6 +53,19 @@ def test_simon_sizes_sum_to_n():
     for _ in range(200):
         n = int(rng.integers(1, 400))
         assert simulate_simon_components(n, 0.5, rng).sum() == n
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(1, 0.5, 0), (2, 0.5, 1), (2, 0.999, 2), (3, 0.3, 3), (1000, 0.5, 4), (1000, 0.95, 5), (200_000, 0.7, 6)],
+)
+def test_simon_matches_sequential_oracle(n, p, seed):
+    fast_rng, slow_rng = substream(seed), substream(seed)
+    fast = simulate_simon_components(n, p, fast_rng)
+    slow = sequential_simon_components(n, p, slow_rng)
+    assert fast.dtype == slow.dtype
+    assert fast.tolist() == slow.tolist()
+    assert fast_rng.random() == slow_rng.random()  # same draws consumed
 
 
 def test_simon_first_component_mean_and_dominance():
