@@ -22,8 +22,8 @@ import time
 from pathlib import Path
 
 from . import __version__, distributions, harness, mechanisms, processes
-from .delegation_graph import sample_instance, to_edge_csv
-from .streams import substream
+# unused here, but perfbench/tracer.py wraps them by name on this module
+from .delegation_graph import sample_instance, to_edge_csv  # noqa: F401
 
 DATA_COMMANDS = ("simulate", "gain", "conditions", "scaling", "sixstep")
 
@@ -196,13 +196,8 @@ def main(argv=None) -> int:
             f"seed={cfg.seed} threads={threads}"
         )
         if command == "simulate":
-            rows = harness.run_simulate_experiment(cfg, threads)
+            rows = harness.run_simulate_experiment(cfg, threads, edge_dir=out_dir)
             harness.write_simulate_csv(rows, out_dir / "instances.csv")
-            for n_idx, n in enumerate(cfg.sizes):
-                for rep in range(cfg.reps_per_size):
-                    rng = substream(cfg.seed, n_idx, rep)
-                    _, graph = sample_instance(cfg.mechanism, cfg.distribution, n, rng)
-                    to_edge_csv(graph, out_dir / f"edges_n{n}_rep{rep}.csv")
         elif command == "gain":
             rows = harness.run_gain_sweep(cfg, threads)
             harness.write_gain_csv(rows, out_dir / "gain.csv")

@@ -194,17 +194,6 @@ def quantile(dist: DistributionSpec, q: float) -> float:
     raise TypeError(f"not a distribution: {dist!r}")
 
 
-def support(dist: DistributionSpec) -> tuple[float, float]:
-    if isinstance(dist, Uniform):
-        return dist.lo, dist.hi
-    if isinstance(dist, TruncatedBeta):
-        return 0.0, 1.0
-    if isinstance(dist, PiecewiseLinearDensity):
-        xs, _ = dist._arrays()
-        return float(xs[0]), float(xs[-1])
-    raise TypeError(f"not a distribution: {dist!r}")
-
-
 def _breakpoints(dist: DistributionSpec):
     if isinstance(dist, Uniform):
         return (dist.lo, dist.hi)

@@ -16,13 +16,14 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from . import distributions
 from .distributions import DistributionSpec, Uniform, TruncatedBeta, PiecewiseLinearDensity
-from .delegation_graph import DelegationGraph, NO_EDGE, compute_weights, sample_instance
+from .delegation_graph import DelegationGraph, NO_EDGE, compute_weights, sample_instance, to_edge_csv
 from .mechanisms import (
     AffineInY,
     ConfidenceBased,
@@ -781,13 +782,19 @@ def write_sixstep_csv(rows: list[tuple], path) -> None:
 SIMULATE_HEADER = ["n", "rep", "max_weight", "total_weight", "nullified"]
 
 
-def run_simulate_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
-    """Weight-profile summary per sampled instance."""
+def run_simulate_experiment(cfg: ExperimentConfig, threads: int = 1, edge_dir=None) -> list[tuple]:
+    """Weight-profile summary per sampled instance.
+
+    With edge_dir set, each instance's graph is also written there as
+    edges_n{n}_rep{rep}.csv.
+    """
 
     def one(args):
         n_idx, n, rep = args
         rng = substream(cfg.seed, n_idx, rep)
         _, graph = sample_instance(cfg.mechanism, cfg.distribution, n, rng)
+        if edge_dir is not None:
+            to_edge_csv(graph, Path(edge_dir) / f"edges_n{n}_rep{rep}.csv")
         profile = compute_weights(graph)
         return (n, rep, profile.max_weight, profile.total_weight, len(profile.nullified))
 

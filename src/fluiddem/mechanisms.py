@@ -15,6 +15,7 @@ proportionally. Three families are built in:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -181,13 +182,13 @@ class TabulatedPhi:
             raise ValueError("TabulatedPhi values must be nonnegative")
         if np.any(np.diff(arr, axis=1) < 0.0):
             raise ValueError("TabulatedPhi values must be nondecreasing in y")
-
-    def _grid(self):
-        arr = np.array(self.values)
-        return arr, np.linspace(0.0, 1.0, arr.shape[0]), np.linspace(0.0, 1.0, arr.shape[1])
+        arr.flags.writeable = False
+        object.__setattr__(self, "_arr", arr)
+        object.__setattr__(self, "_xs", np.linspace(0.0, 1.0, arr.shape[0]))
+        object.__setattr__(self, "_ys", np.linspace(0.0, 1.0, arr.shape[1]))
 
     def __call__(self, x, y):
-        arr, xs, ys = self._grid()
+        arr, xs, ys = self._arr, self._xs, self._ys
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         xi = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
         yi = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
@@ -208,33 +209,37 @@ class RowNormalizedPhi:
 
     Used to normalize x-dependent weight functions; the per-x divisor keeps
     every delegator's target distribution identical to the base function's.
-    Divisors are computed by quadrature and cached per x.
+    Divisors are closed-form in x: bilinear interpolation is linear in x
+    between grid rows, so a tabulated base's divisor interpolates its row
+    means exactly; an indicator's is 1 - cdf(x); any other base ignores x
+    and has one divisor. A row-normalized base is flattened, since per-x
+    rescaling cancels.
     """
 
     base: "PairWeightFn"
     dist: object
 
     def __post_init__(self):
-        object.__setattr__(self, "_mean_cache", {})
+        if isinstance(self.base, RowNormalizedPhi):
+            object.__setattr__(self, "base", self.base.base)
 
     depends_on_x = True
 
-    def _mean_at(self, x: float) -> float:
-        cache = self._mean_cache
-        value = cache.get(x)
-        if value is None:
-            value = phi_mean_in_y(self.base, self.dist, x)
-            cache[x] = value
-        return value
+    @functools.cached_property
+    def _row_means(self) -> np.ndarray:
+        """E_y[base(x_i, .)] per grid row of a tabulated base, else at x = 0."""
+        xs = self.base._xs if isinstance(self.base, TabulatedPhi) else (0.0,)
+        return np.array([phi_mean_in_y(self.base, self.dist, float(x)) for x in xs])
 
-    def _means(self, x: np.ndarray) -> np.ndarray:
-        flat = x.ravel()
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        means = np.array([self._mean_at(float(v)) for v in uniq])
-        return means[inverse].reshape(x.shape)
+    def _means(self, x: np.ndarray):
+        if isinstance(self.base, Indicator):
+            return 1.0 - distributions.cdf(self.dist, x)
+        if isinstance(self.base, TabulatedPhi):
+            return np.interp(x, self.base._xs, self._row_means)
+        return self._row_means[0]
 
     def __call__(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x = np.asarray(x, dtype=float)
         return np.asarray(self.base(x, y), dtype=float) / self._means(x)
 
 
@@ -253,7 +258,7 @@ def sampling_equivalent(phi: "PairWeightFn") -> "PairWeightFn":
 def phi_x_knots(phi) -> tuple[float, ...]:
     """x positions where phi may have kinks (grid lines of tabulated variants)."""
     if isinstance(phi, TabulatedPhi):
-        return tuple(np.linspace(0.0, 1.0, np.array(phi.values).shape[0]))
+        return tuple(phi._xs)
     if isinstance(phi, RowNormalizedPhi):
         return phi_x_knots(phi.base)
     return ()
@@ -261,7 +266,7 @@ def phi_x_knots(phi) -> tuple[float, ...]:
 
 def phi_y_knots(phi) -> tuple[float, ...]:
     if isinstance(phi, TabulatedPhi):
-        return tuple(np.linspace(0.0, 1.0, np.array(phi.values).shape[1]))
+        return tuple(phi._ys)
     if isinstance(phi, RowNormalizedPhi):
         return phi_y_knots(phi.base)
     return ()
@@ -330,14 +335,6 @@ def pair_weight(mech: MechanismSpec, x, y):
     raise TypeError(f"not a mechanism: {mech!r}")
 
 
-def mechanism_phi(mech: MechanismSpec) -> PairWeightFn:
-    if isinstance(mech, Upward):
-        return Indicator()
-    if isinstance(mech, ConfidenceBased):
-        return Constant1()
-    return mech.phi
-
-
 def phi_mean_in_y(phi: PairWeightFn, dist, x: float) -> float:
     """E_{y ~ dist}[phi(x, y)], closed-form where possible."""
     if isinstance(phi, Constant1):
@@ -374,10 +371,8 @@ def normalize_phi(phi: PairWeightFn, dist) -> PairWeightFn:
     if isinstance(phi, ExpInY):
         m = phi_mean_in_y(phi, dist, 0.0)
         return ExpInY(phi.lam, phi.scale / m)
-    if isinstance(phi, TabulatedPhi):
+    if isinstance(phi, (TabulatedPhi, RowNormalizedPhi)):
         return RowNormalizedPhi(phi, dist)
-    if isinstance(phi, RowNormalizedPhi):
-        return RowNormalizedPhi(phi.base, dist)
     raise TypeError(f"not a pair weight function: {phi!r}")
 
 
@@ -392,16 +387,15 @@ def phi_bounds(phi: PairWeightFn) -> tuple[float, float]:
     if isinstance(phi, ExpInY):
         return phi.scale, phi.scale * float(np.exp(phi.lam))
     if isinstance(phi, TabulatedPhi):
-        arr = np.array(phi.values)
-        lo, hi = float(arr.min()), float(arr.max())
+        lo, hi = float(phi._arr.min()), float(phi._arr.max())
         if lo <= 0.0:
             raise NotStrictlyPositiveError("TabulatedPhi attains 0 on its grid")
         return lo, hi
     if isinstance(phi, RowNormalizedPhi):
         # grid + monotonicity: extremes of phi(x, y) over y sit at y in {0, 1}
         xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 513), phi_x_knots(phi)]))
-        lo = min(float(phi(float(x), 0.0)) for x in xs)
-        hi = max(float(phi(float(x), 1.0)) for x in xs)
+        lo = float(np.min(phi(xs, 0.0)))
+        hi = float(np.max(phi(xs, 1.0)))
         if lo <= 0.0:
             raise NotStrictlyPositiveError("normalized phi attains 0")
         return lo, hi

@@ -3,6 +3,8 @@
 import numpy as np
 from scipy import stats as sps
 
+from fluiddem.mechanisms import RowNormalizedPhi, phi_mean_in_y
+
 
 def pooled_chisq_pvalue(a, b, min_pooled: int = 20) -> float:
     """Two-sample chi-square p-value over pooled integer histograms.
@@ -68,3 +70,19 @@ def sequential_simon_components(n: int, p: float, rng) -> np.ndarray:
             owner.append(len(sizes))
             sizes.append(1)
     return np.asarray(sizes, dtype=np.int64)
+
+
+class QuadratureRowNormalizedPhi(RowNormalizedPhi):
+    """RowNormalizedPhi whose divisor is a quadrature at every distinct x (oracle).
+
+    One adaptive quadrature of E_y[base(x, .)] per distinct x, cached per x:
+    the slow reference for the closed-form divisors.
+    """
+
+    def _means(self, x):
+        cache = self.__dict__.setdefault("_mean_cache", {})
+        uniq, inverse = np.unique(x.ravel(), return_inverse=True)
+        for v in uniq.tolist():
+            if v not in cache:
+                cache[v] = phi_mean_in_y(self.base, self.dist, v)
+        return np.array([cache[v] for v in uniq.tolist()])[inverse].reshape(x.shape)

@@ -4,6 +4,9 @@ import math
 import pytest
 
 from fluiddem.cli import main
+from fluiddem.delegation_graph import sample_instance, to_edge_csv
+from fluiddem.harness import config_from_dict
+from fluiddem.streams import substream
 
 GAIN_CONFIG = {
     "mechanism": {"kind": "confidence", "q": {"kind": "linear", "a": 0.8, "b": 0.8}},
@@ -124,6 +127,35 @@ def test_simulate_command_writes_edges(tmp_path):
     first = (out / "edges_n50_rep0.csv").read_text().splitlines()
     assert first[0] == "voter,target"
     assert len(first) == 51
+
+
+def test_simulate_edge_lists_match_a_serial_resample(tmp_path):
+    tabulated = {"kind": "tabulated", "values": [[1.0, 2.0, 3.0], [1.5, 2.0, 3.0], [2.0, 2.5, 4.0]]}
+    raw = {
+        **GAIN_CONFIG,
+        "mechanism": {"kind": "general", "p": 0.3, "phi": tabulated},
+        "sizes": [40, 90],
+        "reps_per_size": 3,
+    }
+    cfg = write_config(tmp_path, raw)
+    # the edge lists as written by sampling every instance again, one by one
+    expected = tmp_path / "serial"
+    expected.mkdir()
+    spec = config_from_dict(raw)
+    for n_idx, n in enumerate(spec.sizes):
+        for rep in range(spec.reps_per_size):
+            rng = substream(spec.seed, n_idx, rep)
+            _, graph = sample_instance(spec.mechanism, spec.distribution, n, rng)
+            to_edge_csv(graph, expected / f"edges_n{n}_rep{rep}.csv")
+    names = sorted(path.name for path in expected.iterdir())
+    assert len(names) == 6
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert sorted(path.name for path in out.glob("edges_*.csv")) == names
+        for name in names:
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+    assert (tmp_path / "t1" / "instances.csv").read_bytes() == (tmp_path / "t2" / "instances.csv").read_bytes()
 
 
 def test_sixstep_command(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import QuadratureRowNormalizedPhi
 
 from fluiddem import (
     AffineInY,
@@ -12,6 +13,7 @@ from fluiddem import (
     GeneralContinuous,
     Indicator,
     LinearQ,
+    PiecewiseLinearDensity,
     TabulatedPhi,
     TruncatedBeta,
     Uniform,
@@ -23,6 +25,7 @@ from fluiddem import (
 )
 from fluiddem.mechanisms import (
     NotStrictlyPositiveError,
+    RowNormalizedPhi,
     from_config,
     phi_mean_in_y,
     to_config,
@@ -148,3 +151,77 @@ def test_config_roundtrip():
     assert mech == ConfidenceBased(LinearQ(1.0, 1.0))
     with pytest.raises(ValueError):
         from_config({"kind": "dictatorship"})
+
+
+# ---------------------------------------------------------------------------
+# closed-form divisors of RowNormalizedPhi against per-x quadrature
+
+DIVISOR_DISTS = [
+    # (distribution, random x points): one quadrature takes about 0.5 ms under
+    # the first and the last, 20 ms under Uniform(0.1, 0.7) (a jump in the
+    # density) and 0.14 s under the beta law, so those two get fewer points
+    (UNIT, 200),
+    (Uniform(0.1, 0.7), 10),
+    (TruncatedBeta(2.0, 3.0), 10),
+    (PiecewiseLinearDensity(((0.0, 0.5), (0.4, 2.0), (1.0, 1.0))), 200),
+]
+
+
+def _random_tabulated(nx: int, ny: int, seed: int) -> TabulatedPhi:
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.0, 2.0, size=(nx, ny))
+    steps[:, 0] += 0.5
+    return TabulatedPhi(tuple(map(tuple, np.cumsum(steps, axis=1))))
+
+
+def _divisor_points(phi, count: int) -> np.ndarray:
+    grid = np.linspace(0.0, 1.0, len(phi.values)) if isinstance(phi, TabulatedPhi) else ()
+    random = np.random.default_rng(2024).random(200)[:count]
+    return np.concatenate([[0.0, 1.0], grid, random])
+
+
+def _assert_divisors_match_quadrature(base, dist, xs):
+    closed = np.broadcast_to(RowNormalizedPhi(base, dist)._means(xs), xs.shape)
+    oracle = np.array([phi_mean_in_y(base, dist, float(x)) for x in xs])
+    np.testing.assert_allclose(closed, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (3, 5)])
+@pytest.mark.parametrize("dist, count", DIVISOR_DISTS)
+def test_tabulated_divisors_match_quadrature(shape, dist, count):
+    base = _random_tabulated(*shape, seed=shape[0] * 10 + shape[1])
+    _assert_divisors_match_quadrature(base, dist, _divisor_points(base, count))
+
+
+@pytest.mark.parametrize(
+    "base", [Indicator(), Constant1(), AffineInY(1.0, 2.0), ExpInY(1.3, 0.7)]
+)
+@pytest.mark.parametrize("dist", [dist for dist, _ in DIVISOR_DISTS])
+def test_closed_form_divisors_match_quadrature(base, dist):
+    # the indicator's divisor is 1 - cdf(x) and the others have one divisor
+    # for every x, so a few points cover them
+    _assert_divisors_match_quadrature(base, dist, _divisor_points(base, 10))
+
+
+def test_row_normalized_phi_matches_quadrature_divisor_pointwise():
+    base = _random_tabulated(4, 3, seed=7)
+    dist = TruncatedBeta(2.0, 3.0)
+    xs = np.linspace(0.0, 1.0, 7)[:, None]
+    ys = np.linspace(0.0, 1.0, 11)[None, :]
+    closed = RowNormalizedPhi(base, dist)(xs, ys)
+    oracle = QuadratureRowNormalizedPhi(base, dist)(xs, ys)
+    assert closed.shape == (7, 11)
+    np.testing.assert_allclose(closed, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_nested_row_normalization_flattens():
+    base = _random_tabulated(3, 3, seed=3)
+    outer = Uniform(0.1, 0.7)
+    nested = RowNormalizedPhi(RowNormalizedPhi(base, TruncatedBeta(2.0, 3.0)), outer)
+    flat = RowNormalizedPhi(base, outer)
+    assert nested.base is base
+    assert nested.dist == outer
+    xs = np.linspace(0.0, 1.0, 9)[:, None]
+    ys = np.linspace(0.0, 1.0, 9)[None, :]
+    assert np.array_equal(nested(xs, ys), flat(xs, ys))
+    assert normalize_phi(nested, UNIT).base is base

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers import dels_of_root, pooled_chisq_pvalue, sequential_simon_components
+from helpers import (
+    QuadratureRowNormalizedPhi,
+    dels_of_root,
+    pooled_chisq_pvalue,
+    sequential_simon_components,
+)
 
 from fluiddem import (
     AffineInY,
     ConfidenceBased,
     ConstantQ,
     GeneralContinuous,
+    PiecewiseLinearDensity,
     TabulatedPhi,
     Uniform,
     normalize_phi,
@@ -17,6 +23,7 @@ from fluiddem import (
 )
 from fluiddem.delegation_graph import sample_graph
 from fluiddem.harness import builtin_bucket_configs
+from fluiddem.mechanisms import RowNormalizedPhi
 from fluiddem.processes import (
     BucketModel,
     build_bucket_model,
@@ -283,6 +290,21 @@ def test_bucket_model_tabulated_phi():
     factor = subcriticality_factor(0.3, 0.05)
     assert np.max(np.abs(model.M @ model.pi - factor * model.pi)) <= 1e-9
     assert model.spectral_radius < 1.0
+
+
+@pytest.mark.parametrize(
+    "dist",
+    # the processes-bucket benchmark workload, then a density that is not flat
+    [Uniform(0.0, 1.0), PiecewiseLinearDensity(((0.0, 0.5), (0.4, 2.0), (1.0, 1.0)))],
+)
+def test_bucket_model_matches_quadrature_divisor_oracle(dist):
+    table = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
+    model = build_bucket_model(RowNormalizedPhi(table, dist), dist, 0.3, 0.05)
+    oracle = build_bucket_model(QuadratureRowNormalizedPhi(table, dist), dist, 0.3, 0.05)
+    assert model.B == oracle.B == 64
+    for name in ("phi_prime", "phi_tilde", "M"):
+        np.testing.assert_allclose(getattr(model, name), getattr(oracle, name), rtol=1e-12, atol=0.0)
+    assert model.spectral_radius == pytest.approx(oracle.spectral_radius, rel=1e-12, abs=0.0)
 
 
 def test_bucket_model_json_fields():
