@@ -9,6 +9,10 @@ weight (the worst-case treatment of cycles).
 One pointer-doubling kernel, forest_roots, finds where every walk ends: the
 nullified voters are those whose walk ends on a delegating voter, and the
 weights are a bincount of the other walks' ends.
+
+One kernel, mixture_targets, draws every general-continuous target: each
+delegator's law mixes two grid rows of phi, sampled exactly by composition
+in O(rows * n + m log n) for m delegators.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from .mechanisms import (
     ConfidenceBased,
     GeneralContinuous,
     MechanismSpec,
+    PairWeightFn,
     Upward,
+    row_mixture,
     sampling_equivalent,
 )
 
@@ -135,7 +141,57 @@ def compute_weights(graph: DelegationGraph) -> WeightProfile:
 
 
 def _inverse_cdf_targets(cum: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    return np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
+    """Inverse-CDF draws on cum, in draw order. The binary searches run on the
+    sorted uniforms, so successive searches read neighbouring parts of cum."""
+    u = rng.random(count) * cum[-1]
+    order = np.argsort(u)
+    out = np.empty(count, dtype=np.int64)
+    out[order] = np.searchsorted(cum, u[order], side="right")
+    return out
+
+
+def mixture_targets(
+    phi: PairWeightFn, p_vec, sources, allowed, rng: np.random.Generator, forbid_self: bool = True
+) -> np.ndarray:
+    """One target in `allowed` per source i, with P(j) proportional to phi(p_i, p_j).
+
+    phi(p_i, .) = (1 - t_i)*r_k + t_i*r_{k+1} (row_mixture). Row k + 1 is
+    picked with probability t_i*S'_{k+1} / [(1 - t_i)*S'_k + t_i*S'_{k+1}],
+    S'_c being row c's mass on `allowed` minus r_c(p_i) when forbid_self (the
+    sources then lie in `allowed`); the target is an inverse-CDF draw on that
+    row's cumsum, self-hits redrawn in the same row. A one-row phi takes no
+    row-pick draw. Sources with no weight on another allowed target get NO_EDGE.
+    """
+    mix = row_mixture(phi, p_vec[sources])
+    lo = np.zeros(sources.size)  # S'_k per source
+    hi = np.zeros(sources.size)  # S'_{k+1} per source
+    for c in range(mix.rows):
+        row = mix.row(c, p_vec)
+        cum = np.cumsum(row[allowed])
+        mass = np.maximum(cum[-1] - (row[sources] if forbid_self else 0.0), 0.0)
+        lo = np.where(mix.k == c, mass, lo)
+        hi = np.where(mix.k + 1 == c, mass, hi)
+    total = (1.0 - mix.t) * lo + mix.t * hi
+    stuck = total <= 0.0
+    use = mix.k
+    if mix.rows > 1:
+        use = mix.k + (rng.random(sources.size) * total < mix.t * hi)
+    targets = np.empty(sources.size, dtype=np.int64)
+    for c in reversed(range(mix.rows)):  # the last row's cumsum is still at hand
+        pos = np.flatnonzero(use == c)
+        if pos.size == 0:
+            continue
+        if c < mix.rows - 1:
+            cum = np.cumsum(mix.row(c, p_vec)[allowed])
+        drawn = allowed[_inverse_cdf_targets(cum, rng, pos.size)]
+        if forbid_self:
+            bad = np.flatnonzero((drawn == sources[pos]) & ~stuck[pos])
+            while bad.size:
+                drawn[bad] = allowed[_inverse_cdf_targets(cum, rng, bad.size)]
+                bad = bad[drawn[bad] == sources[pos[bad]]]
+        targets[pos] = drawn
+    targets[stuck] = NO_EDGE
+    return targets
 
 
 def _count_greater(p_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,26 +247,9 @@ def sample_graph(mech: MechanismSpec, competencies, rng: np.random.Generator) ->
         delegators = np.where(u_delegate < mech.p)[0]
         if delegators.size == 0 or n == 1:
             return DelegationGraph(n, out)
-        phi = sampling_equivalent(mech.phi)
-        if not phi.depends_on_x:
-            # shared target law: sample from the global weight profile and
-            # reject self-hits (conditioning preserves the exact law)
-            g = np.asarray(phi(0.0, p_vec), dtype=float)
-            cum = np.cumsum(g)
-            t = _inverse_cdf_targets(cum, rng, delegators.size)
-            bad = np.where(t == delegators)[0]
-            while bad.size:
-                t[bad] = _inverse_cdf_targets(cum, rng, bad.size)
-                bad = bad[t[bad] == delegators[bad]]
-            out[delegators] = t
-        else:
-            for i in delegators.tolist():
-                w = np.asarray(phi(p_vec[i], p_vec), dtype=float)
-                w[i] = 0.0
-                cum = np.cumsum(w)
-                if cum[-1] <= 0.0:
-                    continue  # degenerate: no positive weight on anyone
-                out[i] = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        out[delegators] = mixture_targets(
+            sampling_equivalent(mech.phi), p_vec, delegators, np.arange(n), rng
+        )
         return DelegationGraph(n, out)
 
     raise TypeError(f"not a mechanism: {mech!r}")
@@ -268,6 +307,7 @@ __all__ = [
     "sample_instance",
     "compute_weights",
     "forest_roots",
+    "mixture_targets",
     "stats",
     "component_sizes",
     "to_edge_csv",

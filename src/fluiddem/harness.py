@@ -7,6 +7,9 @@ delegation, and separation of the direct and fluid expected tallies around
 n/2), gain distributions, and max-weight scaling. Replications within one
 size run on disjoint random streams keyed by (seed, size index, rep), so
 results are byte-identical for any worker count.
+
+The six-step sampler draws targets with the direct sampler's grid-row
+mixture kernel (mixture_targets) and mixes per-row sums for its weights.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from . import distributions
 from .distributions import DistributionSpec, Uniform, TruncatedBeta, PiecewiseLinearDensity
-from .delegation_graph import DelegationGraph, NO_EDGE, compute_weights, sample_instance, to_edge_csv
+from .delegation_graph import DelegationGraph, NO_EDGE, compute_weights, mixture_targets
+from .delegation_graph import sample_instance, to_edge_csv
 from .mechanisms import (
     AffineInY,
     ConfidenceBased,
@@ -34,7 +38,9 @@ from .mechanisms import (
     MechanismSpec,
     Upward,
     normalize_phi,
+    phi_x_knots,
     phi_y_knots as mechanisms_phi_y_knots,
+    row_mixture,
     sampling_equivalent,
 )
 from .quadrature import integrate
@@ -234,13 +240,14 @@ def _phi_y_moment(phi, dist, x: float) -> float:
     )
 
 
-def gc_lift_constant(phi_normalized, dist, grid: int = 200) -> float:
-    """min over x of E_y[phi(x, y) * y] - mean(dist), for unit-y-mean phi."""
-    mu = distributions.mean(dist)
-    if not phi_normalized.depends_on_x:
-        return _phi_y_moment(phi_normalized, dist, 0.5) - mu
-    xs = np.linspace(0.0, 1.0, grid)
-    return min(_phi_y_moment(phi_normalized, dist, float(x)) for x in xs) - mu
+def gc_lift_constant(phi_normalized, dist) -> float:
+    """min over x of E_y[phi(x, y) * y] - mean(dist), for unit-y-mean phi.
+
+    For a tabulated base, E_y[phi(x, .) * y] and the divisor are linear in x
+    on each grid cell, so the minimum lies on a grid row; other bases ignore x.
+    """
+    xs = phi_x_knots(phi_normalized) or (0.5,)
+    return min(_phi_y_moment(phi_normalized, dist, float(x)) for x in xs) - distributions.mean(dist)
 
 
 def estimate_lift_constant(mech: MechanismSpec, dist) -> tuple[float, float, float]:
@@ -567,26 +574,6 @@ class SixStepDiagnostics:
     max_weight_bound: float
 
 
-def _restricted_cumsum_targets(g, allowed_idx, sources, rng, forbid_self):
-    """Inverse-CDF targets within allowed_idx for each source, resampling self-hits.
-
-    Sources with no positive weight on anyone but themselves get NO_EDGE.
-    """
-    cum = np.cumsum(g[allowed_idx])
-    targets = allowed_idx[np.searchsorted(cum, rng.random(sources.size) * cum[-1], side="right")]
-    if forbid_self:
-        stuck = g[sources] >= cum[-1]
-        targets[stuck] = NO_EDGE
-        bad = np.where((targets == sources) & ~stuck)[0]
-        while bad.size:
-            redraw = allowed_idx[
-                np.searchsorted(cum, rng.random(bad.size) * cum[-1], side="right")
-            ]
-            targets[bad] = redraw
-            bad = bad[targets[bad] == sources[bad]]
-    return targets
-
-
 def run_six_step_sampler(
     mech: GeneralContinuous,
     dist,
@@ -594,6 +581,7 @@ def run_six_step_sampler(
     rng: np.random.Generator,
     eps: float = 0.05,
     log_coefficient: float = 4.0,
+    lift_constant: Optional[float] = None,
 ):
     """Sample one instance through the six-step decomposition.
 
@@ -603,6 +591,7 @@ def run_six_step_sampler(
     the fraction of its pair weight lying on M; (5) resolve delegations of
     the remaining delegators among [n] \\ M; (6) resolve delegations of R into
     M. The joint law of (competencies, graph) equals the direct sampler's.
+    lift_constant defaults to gc_lift_constant of the normalized phi.
 
     Returns (competencies, graph, SixStepDiagnostics).
     """
@@ -615,7 +604,9 @@ def run_six_step_sampler(
     # ratios below are scale-free, so sample with the cheaper equivalent
     phi = sampling_equivalent(phi_n)
     mu = distributions.mean(dist)
-    lift_c = max(gc_lift_constant(phi_n, dist), 0.0)
+    if lift_constant is None:
+        lift_constant = gc_lift_constant(phi_n, dist)
+    lift_c = max(lift_constant, 0.0)
     bound = log_coefficient * math.log(n)
 
     # step 1: non-delegators
@@ -631,27 +622,14 @@ def run_six_step_sampler(
     delegator_sum = float(p_vec[out_idx].sum())
     e2 = delegator_sum <= n * (mu + eps) * (p + eps)
 
-    y_only = not phi.depends_on_x
-    if y_only:
-        g = np.asarray(phi(0.0, p_vec), dtype=float)
-        g_total = g.sum()
-        g_m = g[m_idx].sum()
-        gp_m = float(np.dot(g[m_idx], p_vec[m_idx]))
-        ratios = np.full(out_idx.size, gp_m / g_m if g_m > 0 else np.nan)
-        m_weight = np.full(out_idx.size, g_m)
-        total_weight_on_others = g_total - g[out_idx]
-    else:
-        ratios = np.empty(out_idx.size)
-        m_weight = np.empty(out_idx.size)
-        total_weight_on_others = np.empty(out_idx.size)
-        for pos, i in enumerate(out_idx.tolist()):
-            row = np.asarray(phi(p_vec[i], p_vec), dtype=float)
-            m_row = row[m_idx]
-            m_weight[pos] = m_row.sum()
-            ratios[pos] = (
-                float(np.dot(m_row, p_vec[m_idx])) / m_weight[pos] if m_weight[pos] > 0 else np.nan
-            )
-            total_weight_on_others[pos] = row.sum() - row[i]
+    # event 3: each delegator's weight on M, its weighted mean competence
+    # there, and its weight on all others, mixed from per-row sums
+    mix = row_mixture(phi, p_vec[out_idx])
+    m_weight = mix.mixed(p_vec, lambda row: row[m_idx].sum())
+    gp_m = mix.mixed(p_vec, lambda row: float(np.dot(row[m_idx], p_vec[m_idx])))
+    total_weight_on_others = mix.mixed(p_vec, lambda row: row.sum() - row[out_idx])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = np.where(m_weight > 0, gp_m / m_weight, np.nan)
     ratio_floor = (1.0 - eps) / (1.0 + eps) * (mu + lift_c)
     min_ratio = float(np.nanmin(ratios)) if out_idx.size and m_idx.size else float("nan")
     e3 = bool(out_idx.size == 0 or (m_idx.size > 0 and np.all(ratios >= ratio_floor)))
@@ -667,37 +645,18 @@ def run_six_step_sampler(
     # step 5: delegations of the remaining delegators, among [n] \ M
     out_edges = np.full(n, NO_EDGE, dtype=np.int64)
     if rest_idx.size:
-        if y_only:
-            out_edges[rest_idx] = _restricted_cumsum_targets(g, out_idx, rest_idx, rng, True)
-        else:
-            for i in rest_idx.tolist():
-                row = np.asarray(phi(p_vec[i], p_vec[out_idx]), dtype=float)
-                row[np.searchsorted(out_idx, i)] = 0.0
-                cum = np.cumsum(row)
-                if cum[-1] <= 0:
-                    continue
-                out_edges[i] = out_idx[np.searchsorted(cum, rng.random() * cum[-1], side="right")]
+        out_edges[rest_idx] = mixture_targets(phi, p_vec, rest_idx, out_idx, rng)
     partial = DelegationGraph(n, out_edges.copy())
     prof = compute_weights(partial)
     max_dels = int(prof.dels.max(initial=0))
     e5 = max_dels <= bound and prof.total_weight >= n - bound * bound * math.log(n)
 
-    # step 6: delegations of R, into M
+    # step 6: delegations of R, into M (R is empty when M is)
     weighted_q = 0.0
     if r_idx.size:
-        if m_idx.size == 0:
-            targets = None  # cannot happen when in_r is nonempty (m_weight was 0)
-        elif y_only:
-            targets = _restricted_cumsum_targets(g, m_idx, r_idx, rng, False)
-        else:
-            targets = np.empty(r_idx.size, dtype=np.int64)
-            for pos, i in enumerate(r_idx.tolist()):
-                row = np.asarray(phi(p_vec[i], p_vec[m_idx]), dtype=float)
-                cum = np.cumsum(row)
-                targets[pos] = m_idx[np.searchsorted(cum, rng.random() * cum[-1], side="right")]
-        if targets is not None:
-            out_edges[r_idx] = targets
-            weighted_q = float(np.dot(1.0 + prof.dels[r_idx], p_vec[targets]))
+        targets = mixture_targets(phi, p_vec, r_idx, m_idx, rng, forbid_self=False)
+        out_edges[r_idx] = targets
+        weighted_q = float(np.dot(1.0 + prof.dels[r_idx], p_vec[targets]))
     q_floor = (1.0 - eps) ** 2 / (1.0 + eps) * (mu + lift_c) * (p - 2.0 * eps) * n
     e6 = weighted_q >= q_floor
 
@@ -743,12 +702,19 @@ def run_sixstep_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[tupl
     if not isinstance(cfg.mechanism, GeneralContinuous):
         raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
     coeff = cfg.log_coefficient if cfg.log_coefficient is not None else 4.0
+    lift = gc_lift_constant(normalize_phi(cfg.mechanism.phi, cfg.distribution), cfg.distribution)
 
     def one(args):
         n_idx, n, rep = args
         rng = substream(cfg.seed, n_idx, rep)
         _, _, diag = run_six_step_sampler(
-            cfg.mechanism, cfg.distribution, n, rng, eps=cfg.eps, log_coefficient=coeff
+            cfg.mechanism,
+            cfg.distribution,
+            n,
+            rng,
+            eps=cfg.eps,
+            log_coefficient=coeff,
+            lift_constant=lift,
         )
         return (
             n,

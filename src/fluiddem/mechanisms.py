@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -188,19 +188,31 @@ class TabulatedPhi:
         object.__setattr__(self, "_ys", np.linspace(0.0, 1.0, arr.shape[1]))
 
     def __call__(self, x, y):
-        arr, xs, ys = self._arr, self._xs, self._ys
+        arr = self._arr
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        xi = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-        yi = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
-        tx = np.clip((x - xs[xi]) / (xs[xi + 1] - xs[xi]), 0.0, 1.0)
-        ty = np.clip((y - ys[yi]) / (ys[yi + 1] - ys[yi]), 0.0, 1.0)
+        xi, tx = _grid_cell(self._xs, x)
+        yi, ty = _grid_cell(self._ys, y)
         v00 = arr[xi, yi]
         v01 = arr[xi, yi + 1]
         v10 = arr[xi + 1, yi]
         v11 = arr[xi + 1, yi + 1]
         return (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
 
+    def x_cell(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(k, t) per x, k in [0, nx - 2]: phi(x, .) = (1 - t)*row(k) + t*row(k + 1)."""
+        return _grid_cell(self._xs, np.asarray(x, dtype=float))
+
+    def row(self, k: int, y) -> np.ndarray:
+        """phi(x_k, y) on grid row k: piecewise linear in y between grid columns."""
+        return np.interp(np.asarray(y, dtype=float), self._ys, self._arr[k])
+
     depends_on_x = True
+
+
+def _grid_cell(grid: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index i in [0, len(grid) - 2] and position in [0, 1] of v within it."""
+    i = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, len(grid) - 2)
+    return i, np.clip((v - grid[i]) / (grid[i + 1] - grid[i]), 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +265,44 @@ def sampling_equivalent(phi: "PairWeightFn") -> "PairWeightFn":
     base of a RowNormalizedPhi samples identically.
     """
     return phi.base if isinstance(phi, RowNormalizedPhi) else phi
+
+
+@dataclass(frozen=True, eq=False)
+class RowMixture:
+    """phi(x_i, .) = (1 - t_i)*row(k_i) + t_i*row(k_i + 1) for a vector of x_i.
+
+    Bilinear interpolation is linear in x between grid rows; an x-independent
+    phi is the one-row case, k = t = 0. Rows are built one at a time.
+    """
+
+    row: Callable[[int, np.ndarray], np.ndarray]  # grid row c evaluated at y
+    k: np.ndarray  # int64: each x's lower grid row
+    t: np.ndarray  # each x's weight on row k + 1
+    rows: int
+
+    def mixed(self, y, stat) -> np.ndarray:
+        """stat(phi(x_i, y)) per x_i, for a stat linear in the row: the rows' stats mixed."""
+        out = np.zeros(self.k.shape)
+        for c in range(self.rows):
+            coef = np.where(self.k == c, 1.0 - self.t, 0.0) + np.where(self.k + 1 == c, self.t, 0.0)
+            out += coef * stat(self.row(c, y))
+        return out
+
+
+def row_mixture(phi: "PairWeightFn", x) -> RowMixture:
+    """phi(x, .) as a mixture of grid rows, for each entry of x.
+
+    Only a tabulated phi depends on x here: a RowNormalizedPhi samples as its
+    base (sampling_equivalent), and GeneralContinuous rejects Indicator.
+    """
+    if isinstance(phi, TabulatedPhi):
+        return RowMixture(phi.row, *phi.x_cell(x), len(phi.values))
+    if phi.depends_on_x:
+        raise TypeError(f"no grid-row mixture for the x-dependent {phi!r}")
+    zeros = np.zeros(np.shape(x))
+    return RowMixture(
+        lambda c, y: np.asarray(phi(0.0, y), dtype=float), zeros.astype(np.int64), zeros, 1
+    )
 
 
 def phi_x_knots(phi) -> tuple[float, ...]:

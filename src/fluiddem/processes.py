@@ -6,6 +6,9 @@ Polya urn / preferential attachment with escape) process, the single
 component-size recurrences W and V, the binomial graph branching process, the
 live/dead/neutral delegation branching process, and a bucketized multi-type
 Poisson branching process with its expected-children matrix.
+
+Delegation branching needs each voter's pair weight on all others: phi(x, .)
+mixes two grid rows (row_mixture), so these mix per-row sums in O(rows * n).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .mechanisms import (
     phi_bounds,
     phi_mean_in_y,
     phi_x_knots,
+    row_mixture,
     sampling_equivalent,
 )
 
@@ -151,18 +155,7 @@ def _pair_weight_row_sums(mech: MechanismSpec, p_vec: np.ndarray) -> np.ndarray:
         return np.full(n, float(n - 1))
     if isinstance(mech, Upward):
         return _count_greater(p_vec)[1].astype(float)
-    phi = mech.phi
-    if not phi.depends_on_x:
-        g = np.asarray(phi(0.0, p_vec), dtype=float)
-        return g.sum() - g
-    out = np.empty(n)
-    chunk = max(1, 4_000_000 // max(n, 1))
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        block = np.asarray(phi(p_vec[s:e, None], p_vec[None, :]), dtype=float)
-        block[np.arange(e - s), np.arange(s, e)] = 0.0
-        out[s:e] = block.sum(axis=1)
-    return out
+    return row_mixture(mech.phi, p_vec).mixed(p_vec, lambda row: row.sum() - row)
 
 
 def simulate_delegation_branching(

@@ -3,6 +3,7 @@
 import numpy as np
 from scipy import stats as sps
 
+from fluiddem.delegation_graph import NO_EDGE
 from fluiddem.mechanisms import RowNormalizedPhi, phi_mean_in_y
 
 
@@ -86,3 +87,36 @@ class QuadratureRowNormalizedPhi(RowNormalizedPhi):
             if v not in cache:
                 cache[v] = phi_mean_in_y(self.base, self.dist, v)
         return np.array([cache[v] for v in uniq.tolist()])[inverse].reshape(x.shape)
+
+
+def row_loop_targets(phi, p_vec, sources, allowed, rng, forbid_self=True):
+    """One target in `allowed` per source from a full row of phi (oracle).
+
+    The O(n)-per-source reference for mixture_targets: the row
+    phi(p_i, p_allowed), the source's own weight zeroed when self is
+    forbidden, one inverse-CDF draw on its cumsum; a source with no positive
+    weight left gets NO_EDGE.
+    """
+    targets = np.full(len(sources), NO_EDGE, dtype=np.int64)
+    for pos, i in enumerate(np.asarray(sources).tolist()):
+        w = np.asarray(phi(p_vec[i], p_vec[allowed]), dtype=float)
+        if forbid_self:
+            w[allowed == i] = 0.0
+        cum = np.cumsum(w)
+        if cum[-1] <= 0.0:
+            continue
+        targets[pos] = allowed[np.searchsorted(cum, rng.random() * cum[-1], side="right")]
+    return targets
+
+
+def block_row_sums(phi, p_vec):
+    """S[k] = sum over k' != k of phi(p_k, p_k'), from chunked n x n blocks (oracle)."""
+    n = p_vec.shape[0]
+    out = np.empty(n)
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
+        block = np.asarray(phi(p_vec[s:e, None], p_vec[None, :]), dtype=float)
+        block[np.arange(e - s), np.arange(s, e)] = 0.0
+        out[s:e] = block.sum(axis=1)
+    return out

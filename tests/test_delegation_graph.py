@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from helpers import pooled_chisq_pvalue, row_loop_targets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluiddem import (
     AffineInY,
     ConfidenceBased,
+    Constant1,
     ConstantQ,
+    ExpInY,
     GeneralContinuous,
+    Indicator,
     TabulatedPhi,
     Uniform,
     Upward,
@@ -21,10 +25,12 @@ from fluiddem.delegation_graph import (
     _count_greater,
     component_sizes,
     from_edge_csv,
+    mixture_targets,
     sample_graph,
     stats,
     to_edge_csv,
 )
+from fluiddem.mechanisms import RowNormalizedPhi, row_mixture
 
 
 def graph_of(*out):
@@ -254,6 +260,91 @@ def test_general_continuous_fast_path_matches_row_path():
     expected = weights / weights.sum()
     for k in range(2):
         assert np.all(np.abs(freq[k] - expected) < 4 * np.sqrt(expected * (1 - expected) / reps))
+
+
+# the benchmark's 3 x 3 grid, and a 4 x 3 grid whose rows cross
+BENCH_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
+CROSSING_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (3.0, 3.5, 4.0), (0.5, 1.0, 5.0), (2.0, 2.0, 2.5)))
+
+
+@pytest.mark.parametrize("phi", [BENCH_GRID, CROSSING_GRID], ids=["3x3", "4x3"])
+@pytest.mark.parametrize("scenario", ["all", "subset", "few", "into"])
+def test_mixture_targets_exact_law(phi, scenario):
+    # delegators at x = 0, on an interior grid line, off the grid and at 1
+    line = 1.0 / (len(phi.values) - 1)
+    p_vec = np.array([0.0, line, 0.45, 1.0, 0.05, 0.5, 0.5, 0.81, 0.93, 0.2])
+    if scenario == "all":  # sample_graph: any voter but oneself
+        allowed, forbid_self = np.arange(10), True
+    elif scenario == "subset":  # six-step step 5: delegators outside M
+        allowed, forbid_self = np.array([0, 1, 2, 3, 5, 8]), True
+    elif scenario == "few":  # step 5 again: one's own weight is a large share
+        allowed, forbid_self = np.array([0, 2, 3]), True
+    else:  # six-step step 6: into M, which holds no delegator
+        allowed, forbid_self = np.array([4, 5, 6, 7, 9]), False
+    delegators = np.intersect1d(allowed, np.arange(4)) if forbid_self else np.arange(4)
+    reps = 100_000
+    sources = np.repeat(delegators, reps)
+    targets = mixture_targets(phi, p_vec, sources, allowed, substream(60), forbid_self)
+    for i in delegators.tolist():
+        others = allowed[allowed != i]
+        w = phi(p_vec[i], p_vec[others])
+        expected = w / w.sum()
+        got = targets[sources == i]
+        freq = np.array([np.count_nonzero(got == j) for j in others.tolist()]) / reps
+        assert np.count_nonzero(got == i) == 0
+        assert np.all(np.abs(freq - expected) < 4 * np.sqrt(expected * (1 - expected) / reps))
+
+
+def test_mixture_targets_match_row_loop():
+    # two-sample check of the kernel against the per-delegator loop it replaced
+    p_vec = np.round(sample(Uniform(0.0, 1.0), substream(61), size=30), 2)
+    sources = np.repeat(np.arange(30), 1000)
+    allowed = np.arange(30)
+    kernel = mixture_targets(BENCH_GRID, p_vec, sources, allowed, substream(62))
+    loop = row_loop_targets(BENCH_GRID, p_vec, sources, allowed, substream(63))
+    assert pooled_chisq_pvalue(sources * 30 + kernel, sources * 30 + loop) > 0.001
+
+
+@pytest.mark.parametrize("phi", [AffineInY(1.0, 2.0), ExpInY(1.5, 0.5), Constant1()])
+def test_one_row_phi_draws_as_before(phi):
+    # the x-independent sampler before the mixture kernel: one shared cumsum,
+    # self-hits redrawn, no row-pick draw; graphs must match it exactly
+    mech = GeneralContinuous(0.4, phi)
+    for n, seed in ((2, 64), (3, 65), (50, 66), (4000, 67)):
+        p_vec = sample(Uniform(0.0, 1.0), substream(seed, 0), size=n)
+        rng = substream(seed, 1)
+        delegators = np.where(rng.random(n) < mech.p)[0]
+        cum = np.cumsum(phi(0.0, p_vec))
+        t = np.searchsorted(cum, rng.random(delegators.size) * cum[-1], side="right")
+        bad = np.where(t == delegators)[0]
+        while bad.size:
+            t[bad] = np.searchsorted(cum, rng.random(bad.size) * cum[-1], side="right")
+            bad = bad[t[bad] == delegators[bad]]
+        expected = np.full(n, NO_EDGE)
+        expected[delegators] = t
+        assert np.array_equal(sample_graph(mech, p_vec, substream(seed, 1)).out, expected)
+
+
+@pytest.mark.parametrize("phi", [BENCH_GRID, AffineInY(1.0, 2.0)])
+def test_mixture_targets_degenerate_sources_get_no_edge(phi):
+    # n = 1, and a lone delegator allowed only itself (six-step step 5 with a
+    # single delegator outside M)
+    lone = mixture_targets(phi, np.array([0.4]), np.array([0]), np.array([0]), substream(68))
+    assert lone.tolist() == [NO_EDGE]
+    p_vec = np.array([0.1, 0.6, 0.35, 0.9])
+    step5 = mixture_targets(phi, p_vec, np.array([2]), np.array([2]), substream(69))
+    assert step5.tolist() == [NO_EDGE]
+    mixed = mixture_targets(phi, p_vec, np.array([2, 3]), np.array([2, 3]), substream(70))
+    assert mixed.tolist() == [3, 2]
+
+
+def test_x_dependent_phi_without_grid_rows_is_rejected():
+    p_vec = np.array([0.2, 0.7])
+    for phi in (Indicator(), RowNormalizedPhi(BENCH_GRID, Uniform(0.0, 1.0))):
+        with pytest.raises(TypeError):
+            row_mixture(phi, p_vec)
+        with pytest.raises(TypeError):
+            mixture_targets(phi, p_vec, np.array([0]), np.arange(2), substream(71))
 
 
 def test_degenerate_pair_weights_vote_directly():

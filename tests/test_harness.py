@@ -10,11 +10,16 @@ from fluiddem import (
     Constant1,
     GeneralContinuous,
     LinearQ,
+    PiecewiseLinearDensity,
+    TabulatedPhi,
     Uniform,
     Upward,
     compute_weights,
+    mean,
+    normalize_phi,
     substream,
 )
+from fluiddem import harness
 from fluiddem.delegation_graph import NO_EDGE, sample_instance
 from fluiddem.harness import (
     AutoGainMode,
@@ -23,7 +28,9 @@ from fluiddem.harness import (
     MonteCarloGainMode,
     config_from_dict,
     default_delta_exponent,
+    _phi_y_moment,
     estimate_lift_constant,
+    gc_lift_constant,
     run_condition_experiment,
     run_gain_sweep,
     run_scaling_study,
@@ -33,6 +40,8 @@ from fluiddem.harness import (
 )
 
 UNIT = Uniform(0.0, 1.0)
+BENCH_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
+CROSSING_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (3.0, 3.5, 4.0), (0.5, 1.0, 5.0), (2.0, 2.0, 2.5)))
 
 
 def make_config(**overrides):
@@ -70,6 +79,30 @@ def test_lift_constant_affine_phi():
     mu, c, alpha = estimate_lift_constant(GeneralContinuous(0.3, AffineInY(1.0, 2.0)), UNIT)
     assert c == pytest.approx(1.0 / 12.0, abs=1e-9)
     assert alpha == pytest.approx(c * 0.3 / 4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "phi, dist",
+    [
+        (BENCH_GRID, UNIT),
+        (CROSSING_GRID, UNIT),
+        (CROSSING_GRID, PiecewiseLinearDensity(((0.0, 0.5), (0.4, 2.0), (1.0, 0.5)))),
+    ],
+)
+def test_tabulated_lift_constant_is_the_grid_row_minimum(phi, dist):
+    phi_n = normalize_phi(phi, dist)
+    c = gc_lift_constant(phi_n, dist)
+    xs = np.union1d(np.linspace(0.0, 1.0, 101), phi._xs)
+    oracle = np.array([_phi_y_moment(phi_n, dist, x) for x in xs.tolist()]) - mean(dist)
+    assert c <= oracle.min() + 1e-12
+    assert abs(c - oracle[np.isin(xs, phi._xs)].min()) <= 1e-12
+
+
+def test_benchmark_grid_lift_constant_is_exact():
+    # the minimizing row x = 0.5, (1.5, 2, 3), has E[phi*y] / E[phi] = 19/34,
+    # so c = 19/34 - 1/2; 200 evenly spaced x miss that row (0.0588351)
+    c = gc_lift_constant(normalize_phi(BENCH_GRID, UNIT), UNIT)
+    assert c == pytest.approx(1 / 17, abs=1e-12)
 
 
 def test_lift_constant_upward_closed_form():
@@ -315,6 +348,43 @@ def test_six_step_matches_direct_sampler():
         tw_direct[rep] = compute_weights(graph2).total_weight
     se = math.sqrt(tw_six.var() / reps + tw_direct.var() / reps)
     assert abs(tw_six.mean() - tw_direct.mean()) < 3 * se
+
+
+def test_six_step_matches_direct_sampler_tabulated():
+    mech = GeneralContinuous(0.3, BENCH_GRID)
+    n = 2000
+    reps = 1000
+    tw_six = np.empty(reps)
+    tw_direct = np.empty(reps)
+    for rep in range(reps):
+        _, graph, _ = run_six_step_sampler(mech, UNIT, n, substream(3, rep))
+        tw_six[rep] = compute_weights(graph).total_weight
+        _, graph2 = sample_instance(mech, UNIT, n, substream(4, rep))
+        tw_direct[rep] = compute_weights(graph2).total_weight
+    se = math.sqrt(tw_six.var() / reps + tw_direct.var() / reps)
+    assert abs(tw_six.mean() - tw_direct.mean()) < 3 * se
+
+
+def test_sixstep_experiment_computes_the_lift_constant_once(monkeypatch):
+    calls = []
+
+    def counted(phi_n, dist):
+        calls.append(1)
+        return gc_lift_constant(phi_n, dist)
+
+    monkeypatch.setattr(harness, "gc_lift_constant", counted)
+    cfg = make_config(
+        mechanism=GeneralContinuous(0.3, BENCH_GRID), sizes=(300, 600), reps_per_size=3
+    )
+    rows = run_sixstep_experiment(cfg)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for n_idx, n in enumerate(cfg.sizes):
+        for rep in range(3):
+            # without the keyword the sampler computes the same constant itself
+            rng = substream(cfg.seed, n_idx, rep)
+            _, _, diag = run_six_step_sampler(cfg.mechanism, UNIT, n, rng, eps=cfg.eps)
+            assert rows[n_idx * 3 + rep][2:8] == diag.events
 
 
 def test_six_step_tabulated_phi_runs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import (
     QuadratureRowNormalizedPhi,
+    block_row_sums,
     dels_of_root,
     pooled_chisq_pvalue,
     sequential_simon_components,
@@ -13,6 +14,7 @@ from fluiddem import (
     AffineInY,
     ConfidenceBased,
     ConstantQ,
+    ExpInY,
     GeneralContinuous,
     PiecewiseLinearDensity,
     TabulatedPhi,
@@ -26,6 +28,7 @@ from fluiddem.harness import builtin_bucket_configs
 from fluiddem.mechanisms import RowNormalizedPhi
 from fluiddem.processes import (
     BucketModel,
+    _pair_weight_row_sums,
     build_bucket_model,
     expected_w,
     simulate_delegation_branching,
@@ -222,6 +225,24 @@ def test_delegation_branching_general_continuous_marginal():
         graph = sample_graph(mech, p_vec2, rng2)
         direct[r] = 1 + dels_of_root(graph, 0)
     assert pooled_chisq_pvalue(branch, direct) > 0.001
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0))),
+        TabulatedPhi(((1.0, 2.0, 3.0), (3.0, 3.5, 4.0), (0.5, 1.0, 5.0), (2.0, 2.0, 2.5))),
+        AffineInY(1.0, 2.0),
+        ExpInY(1.5),
+    ],
+    ids=["3x3", "4x3", "affine", "exp"],
+)
+@pytest.mark.parametrize("n", [1, 2, 7, 500, 2000])
+def test_pair_weight_row_sums_match_block(phi, n):
+    # ties: competencies from a coarse set holding 0, 1 and every grid line
+    p_vec = substream(19, n).choice(np.linspace(0.0, 1.0, 13), size=n)
+    got = _pair_weight_row_sums(GeneralContinuous(0.4, phi), p_vec)
+    np.testing.assert_allclose(got, block_row_sums(phi, p_vec), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,185 @@
+"""Per-layer timings of fluiddem at n = 1e4, 1e5 and 1e6.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_6.json
+
+Every layer runs 3 times per size on fixed seeds (substream(SEED, size
+index, run)), one instance per run, competencies from Uniform(0, 1); the
+median wall time of the timed call is recorded in milliseconds. Inputs a
+layer only consumes (a graph for compute_weights, competencies for
+direct_tail) are built outside the timed call.
+
+The output file keeps one entry per --label, so the same script run with
+PYTHONPATH pointing at another checkout's src adds that checkout's numbers
+beside this one's. Each entry records the environment and the git commit of
+the fluiddem it imported, and whether its files differ from that commit.
+A size is skipped (recorded as null) when the layer's median at the previous
+size, scaled by the square of the size ratio, exceeds SKIP_ABOVE_S: an
+O(n^2) layer would run for hours at 1e6.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from datetime import datetime, timezone
+from pathlib import Path
+
+import numpy as np
+
+import fluiddem
+from fluiddem import distributions, processes, tally
+from fluiddem.delegation_graph import compute_weights, sample_instance
+from fluiddem.harness import run_six_step_sampler
+from fluiddem.mechanisms import (
+    AffineInY,
+    ConfidenceBased,
+    GeneralContinuous,
+    LinearQ,
+    TabulatedPhi,
+    Upward,
+)
+from fluiddem.streams import substream
+
+SIZES = (10_000, 100_000, 1_000_000)
+RUNS = 3
+SEED = 2024
+SKIP_ABOVE_S = 20.0
+
+UNIT = distributions.Uniform(0.0, 1.0)
+UPWARD = Upward(0.5)
+CONFIDENCE = ConfidenceBased(LinearQ(0.8, 0.8))
+AFFINE = GeneralContinuous(0.3, AffineInY(1.0, 2.0))
+# the tabulated phi of the simulate-general and processes-bucket workloads
+TABULATED_PHI = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
+TABULATED = GeneralContinuous(0.3, TABULATED_PHI)
+
+
+def _instance(mech):
+    return lambda n, rng: lambda: sample_instance(mech, UNIT, n, rng)
+
+
+def _weights(mech):
+    def prepare(n, rng):
+        _, graph = sample_instance(mech, UNIT, n, rng)
+        return lambda: compute_weights(graph)
+
+    return prepare
+
+
+def _direct_tail(n, rng):
+    p_vec = distributions.sample(UNIT, rng, size=n)
+    return lambda: tally.direct_tail(p_vec)
+
+
+def _simon(n, rng):
+    return lambda: processes.simulate_simon_components(n, 0.5, rng)
+
+
+def _six_step(mech):
+    return lambda n, rng: lambda: run_six_step_sampler(mech, UNIT, n, rng)
+
+
+# layer name -> prepare(n, rng) returning the call to time
+LAYERS = {
+    "competence draw": lambda n, rng: lambda: distributions.sample(UNIT, rng, size=n),
+    "sample_instance upward": _instance(UPWARD),
+    "sample_instance confidence": _instance(CONFIDENCE),
+    "sample_instance general, affine phi": _instance(AFFINE),
+    "sample_instance general, 3x3 tabulated phi": _instance(TABULATED),
+    "compute_weights upward": _weights(UPWARD),
+    "compute_weights confidence": _weights(CONFIDENCE),
+    "direct_tail": _direct_tail,
+    "simulate_simon_components": _simon,
+    "six-step sampler, affine phi": _six_step(AFFINE),
+    "six-step sampler, 3x3 tabulated phi": _six_step(TABULATED),
+}
+
+
+def time_layer(prepare, n: int, size_idx: int) -> float:
+    """Median milliseconds of RUNS fixed-seed calls at size n."""
+    times = []
+    for run in range(RUNS):
+        call = prepare(n, substream(SEED, size_idx, run))
+        start = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - start))
+    return statistics.median(times)
+
+
+def environment() -> dict:
+    src = Path(fluiddem.__file__).resolve().parent
+    try:
+        commit = subprocess.run(
+            ["git", "-C", str(src), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        dirty = bool(
+            subprocess.run(
+                ["git", "-C", str(src), "status", "--porcelain", "--", "."],
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+        )
+    except (OSError, subprocess.CalledProcessError):
+        commit, dirty = None, None
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            names = [line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")]
+        cpu = names[0] if names else None
+    except OSError:
+        pass
+    return {
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "fluiddem_commit": commit,
+        "uncommitted_changes": dirty,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu": cpu,
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="name of this run in the output file")
+    parser.add_argument("--out", required=True, help="JSON file to add the run to")
+    args = parser.parse_args(argv)
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["settings"] = {
+        "sizes": list(SIZES),
+        "runs": RUNS,
+        "seed": SEED,
+        "skip_above_s": SKIP_ABOVE_S,
+        "unit": "ms",
+    }
+    layers = {}
+    for name, prepare in LAYERS.items():
+        row, last = {}, None
+        for size_idx, n in enumerate(SIZES):
+            if last is not None and last[1] / 1e3 * (n / last[0]) ** 2 > SKIP_ABOVE_S:
+                row[str(n)] = None
+                continue
+            ms = time_layer(prepare, n, size_idx)
+            row[str(n)] = round(ms, 3)
+            last = (n, ms)
+            print(f"{name} n={n}: {ms:.1f} ms", file=sys.stderr, flush=True)
+        layers[name] = row
+    doc.setdefault("runs", {})[args.label] = {"environment": environment(), "median_ms": layers}
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
