@@ -82,12 +82,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def _validate_for_command(command: str, cfg: harness.ExperimentConfig) -> None:
-    if command == "gain" and isinstance(cfg.gain_mode, harness.ExactGainMode):
-        if max(cfg.sizes) > cfg.gain_mode.cap:
-            raise ValueError(
-                f"field 'sizes': exact gain supports n <= {cfg.gain_mode.cap}; "
-                "use a monte_carlo gain_mode"
-            )
+    if command == "gain":
+        harness.check_gain_sizes(cfg)
     if command == "scaling" and max(cfg.sizes) < 100 * min(cfg.sizes):
         raise ValueError("field 'sizes': a scaling study needs sizes spanning >= 2 decades")
     if command == "sixstep" and not isinstance(cfg.mechanism, mechanisms.GeneralContinuous):

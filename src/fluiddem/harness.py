@@ -6,7 +6,9 @@ safe and useful (bounded maximum weight, a linear-in-n competence lift from
 delegation, and separation of the direct and fluid expected tallies around
 n/2), gain distributions, and max-weight scaling. Replications within one
 size run on disjoint random streams keyed by (seed, size index, rep), so
-results are byte-identical for any worker count.
+results are byte-identical for any worker count. Gain rows are tallied
+exactly at every size up to tally.MAX_TOTAL_WEIGHT (the `exact` mode, also
+named `auto`), or by Monte Carlo when a config asks for it.
 
 The six-step sampler draws targets with the direct sampler's grid-row
 mixture kernel (mixture_targets) and mixes per-row sums for its weights.
@@ -45,7 +47,7 @@ from .mechanisms import (
 )
 from .quadrature import integrate
 from .streams import substream
-from .tally import EXACT_GAIN_CAP, exact_gain, hoeffding_halfwidth, monte_carlo_gain
+from .tally import MAX_TOTAL_WEIGHT, exact_gain, hoeffding_halfwidth, monte_carlo_gain
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,7 @@ from .tally import EXACT_GAIN_CAP, exact_gain, hoeffding_halfwidth, monte_carlo_
 
 @dataclass(frozen=True)
 class ExactGainMode:
-    cap: int = EXACT_GAIN_CAP
+    """Exact product-tree tallies (`tally.exact_gain`) at every size."""
 
 
 @dataclass(frozen=True)
@@ -69,26 +71,7 @@ class MonteCarloGainMode:
             raise ValueError("field 'gain_mode.delta': must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class AutoGainMode:
-    """Exact tallies up to the cap, Monte Carlo beyond it.
-
-    The Monte Carlo rep count comes from the Hoeffding bound for the target
-    half-width at confidence 1 - delta.
-    """
-
-    cap: int = EXACT_GAIN_CAP
-    target_halfwidth: float = 0.005
-    delta: float = 0.01
-
-    def resolve(self, n: int) -> "GainMode":
-        if n <= self.cap:
-            return ExactGainMode(self.cap)
-        reps = math.ceil(math.log(2.0 / self.delta) / (2.0 * self.target_halfwidth**2))
-        return MonteCarloGainMode(reps, self.delta)
-
-
-GainMode = Union[ExactGainMode, MonteCarloGainMode, AutoGainMode]
+GainMode = Union[ExactGainMode, MonteCarloGainMode]
 
 
 def default_delta_exponent(p: float) -> float:
@@ -107,7 +90,7 @@ class ExperimentConfig:
     delta_exponent: Optional[float] = None  # C(n) = n**delta_exponent (Upward)
     log_coefficient: Optional[float] = None  # C(n) = coeff * ln n (other mechanisms)
     alpha: Optional[float] = None  # lift constant; default from estimate_lift_constant
-    gain_mode: GainMode = field(default_factory=AutoGainMode)
+    gain_mode: GainMode = field(default_factory=ExactGainMode)
     ci_delta: float = 0.01  # confidence parameter for reported Hoeffding half-widths
     eps: float = 0.05  # slack parameter for the six-step diagnostics
 
@@ -157,16 +140,12 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
             raise ValueError(f"field '{required}': missing")
     gm_obj = obj.get("gain_mode", {"kind": "auto"})
     kind = gm_obj.get("kind") if isinstance(gm_obj, dict) else None
-    if kind == "exact":
-        gain_mode: GainMode = ExactGainMode(int(gm_obj.get("cap", EXACT_GAIN_CAP)))
+    # "auto" names the exact mode; both ignore 'cap', 'target_halfwidth' and
+    # 'delta', so configs written for the size-capped auto mode keep parsing
+    if kind in ("exact", "auto"):
+        gain_mode: GainMode = ExactGainMode()
     elif kind == "monte_carlo":
         gain_mode = MonteCarloGainMode(int(gm_obj["reps"]), float(gm_obj["delta"]))
-    elif kind == "auto":
-        gain_mode = AutoGainMode(
-            cap=int(gm_obj.get("cap", EXACT_GAIN_CAP)),
-            target_halfwidth=float(gm_obj.get("target_halfwidth", 0.005)),
-            delta=float(gm_obj.get("delta", 0.01)),
-        )
     else:
         raise ValueError("field 'gain_mode.kind': must be 'exact', 'monte_carlo' or 'auto'")
     try:
@@ -476,12 +455,12 @@ def _gain_row(args):
     rng = substream(seed, n_idx, rep)
     p_vec, graph = sample_instance(mech, dist, n, rng)
     profile = compute_weights(graph)
-    if isinstance(gain_mode, ExactGainMode):
-        report = exact_gain(p_vec, graph, cap=gain_mode.cap, weights=profile.weight)
-    else:
+    if isinstance(gain_mode, MonteCarloGainMode):
         report = monte_carlo_gain(
             p_vec, graph, gain_mode.reps, gain_mode.delta, rng, weights=profile.weight
         )
+    else:
+        report = exact_gain(p_vec, graph, weights=profile.weight)
     return (
         n,
         rep,
@@ -496,18 +475,25 @@ def _gain_row(args):
     )
 
 
+def check_gain_sizes(cfg: ExperimentConfig) -> None:
+    """Refuse sizes above tally.MAX_TOTAL_WEIGHT, before any instance is sampled.
+
+    The limit holds in every gain mode. An instance of n voters has total
+    weight at most n, so it bounds every exact tail the sweep computes.
+    """
+    if max(cfg.sizes) > MAX_TOTAL_WEIGHT:
+        raise ValueError(
+            f"field 'sizes': gain supports n <= {MAX_TOTAL_WEIGHT}, got {max(cfg.sizes)}"
+        )
+
+
 def run_gain_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
     """One row per rep, with the GAIN_HEADER columns (ci_halfwidth and reps None on exact rows)."""
-    if isinstance(cfg.gain_mode, ExactGainMode) and max(cfg.sizes) > cfg.gain_mode.cap:
-        raise ValueError(
-            f"field 'sizes': exact gain supports n <= {cfg.gain_mode.cap}; "
-            "use a monte_carlo or auto gain_mode for larger sizes"
-        )
+    check_gain_sizes(cfg)
     rows = []
     for n_idx, n in enumerate(cfg.sizes):
-        mode = cfg.gain_mode.resolve(n) if isinstance(cfg.gain_mode, AutoGainMode) else cfg.gain_mode
         tasks = [
-            (cfg.mechanism, cfg.distribution, n, cfg.seed, n_idx, rep, mode)
+            (cfg.mechanism, cfg.distribution, n, cfg.seed, n_idx, rep, cfg.gain_mode)
             for rep in range(cfg.reps_per_size)
         ]
         rows.extend(_parallel_map(_gain_row, tasks, threads))

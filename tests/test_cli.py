@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from fluiddem import harness
 from fluiddem.cli import main
 from fluiddem.delegation_graph import sample_instance, to_edge_csv
 from fluiddem.harness import config_from_dict
 from fluiddem.streams import substream
+from fluiddem.tally import MAX_TOTAL_WEIGHT
 
 GAIN_CONFIG = {
     "mechanism": {"kind": "confidence", "q": {"kind": "linear", "a": 0.8, "b": 0.8}},
@@ -45,15 +47,14 @@ def test_gain_command_writes_csv_and_manifest(tmp_path):
 
 
 def test_gain_csv_records_the_tally_of_each_row(tmp_path):
-    auto = {"kind": "auto", "cap": 150, "target_halfwidth": 0.1, "delta": 0.1}
-    cfg = write_config(tmp_path, {**GAIN_CONFIG, "reps_per_size": 2, "gain_mode": auto})
-    out = tmp_path / "run"
-    assert main(["gain", "--config", cfg, "--out", str(out)]) == 0
-    rows = [line.split(",") for line in (out / "gain.csv").read_text().splitlines()[1:]]
-    tails = [[row[0]] + row[-3:] for row in rows]
-    reps = str(math.ceil(math.log(20.0) / 0.02))
-    ci = repr(math.sqrt(math.log(20.0) / (2 * int(reps))))
-    assert tails == [["120", "exact", "", ""]] * 2 + [["240", "monte_carlo", ci, reps]] * 2
+    monte_carlo = {"kind": "monte_carlo", "reps": 738, "delta": 0.1}
+    ci = repr(math.sqrt(math.log(20.0) / (2 * 738)))
+    for mode, tail in (({"kind": "exact"}, ["exact", "", ""]), (monte_carlo, ["monte_carlo", ci, "738"])):
+        cfg = write_config(tmp_path, {**GAIN_CONFIG, "reps_per_size": 2, "gain_mode": mode})
+        out = tmp_path / mode["kind"]
+        assert main(["gain", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "gain.csv").read_text().splitlines()[1:]]
+        assert [[row[0]] + row[-3:] for row in rows] == [["120"] + tail] * 2 + [["240"] + tail] * 2
 
 
 def test_sizes_override_filters_rows(tmp_path):
@@ -87,10 +88,22 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 
 def test_oversized_exact_gain_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, {**GAIN_CONFIG, "sizes": [100, 30_000]})
+    cfg = write_config(tmp_path, {**GAIN_CONFIG, "sizes": [100, MAX_TOTAL_WEIGHT + 1]})
     code = main(["gain", "--config", cfg, "--out", str(tmp_path / "x")])
     assert code == 1
     assert "sizes" in capsys.readouterr().err
+
+
+def test_gain_size_above_the_limit_exits_one_before_sampling(tmp_path, capsys, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(harness, "sample_instance", lambda *args: sampled.append(args))
+    auto = {"kind": "auto", "cap": 150}
+    cfg = write_config(tmp_path, {**GAIN_CONFIG, "gain_mode": auto})
+    out = tmp_path / "x"
+    sizes = f"100,{MAX_TOTAL_WEIGHT + 1}"
+    assert main(["gain", "--config", cfg, "--out", str(out), "--sizes", sizes]) == 1
+    assert f"n <= {MAX_TOTAL_WEIGHT}" in capsys.readouterr().err
+    assert not out.exists() and sampled == []
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -22,7 +22,6 @@ from fluiddem import (
 from fluiddem import harness
 from fluiddem.delegation_graph import NO_EDGE, sample_instance
 from fluiddem.harness import (
-    AutoGainMode,
     ExactGainMode,
     ExperimentConfig,
     MonteCarloGainMode,
@@ -37,7 +36,9 @@ from fluiddem.harness import (
     run_simulate_experiment,
     run_six_step_sampler,
     run_sixstep_experiment,
+    write_gain_csv,
 )
+from fluiddem.tally import MAX_TOTAL_WEIGHT
 
 UNIT = Uniform(0.0, 1.0)
 BENCH_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
@@ -146,9 +147,11 @@ def test_config_from_dict_names_bad_fields():
     }
     cfg = config_from_dict(good)
     assert cfg.mechanism == Upward(0.5)
-    assert isinstance(cfg.gain_mode, AutoGainMode)
-    assert cfg.gain_mode.resolve(1000) == ExactGainMode()
-    assert cfg.gain_mode.resolve(50_000) == MonteCarloGainMode(105_967, 0.01)
+    assert cfg.gain_mode == ExactGainMode()
+    # 'auto' is the exact mode; 'cap', 'target_halfwidth' and 'delta' parse and are ignored
+    for old in ({"kind": "auto", "cap": 10, "target_halfwidth": 0.1, "delta": 0.1},
+                {"kind": "exact", "cap": 10}):
+        assert config_from_dict({**good, "gain_mode": old}).gain_mode == ExactGainMode()
 
     with pytest.raises(ValueError, match="mechanism"):
         config_from_dict({**good, "mechanism": {"kind": "nope"}})
@@ -249,24 +252,33 @@ def test_gain_sweep_monte_carlo_mode_and_determinism():
         assert 0.0 <= p_direct <= 1.0 and 0.0 <= p_fluid <= 1.0
 
 
-def test_gain_sweep_rejects_oversized_exact():
-    cfg = make_config(sizes=(100, 30_000), reps_per_size=1, gain_mode=ExactGainMode())
-    with pytest.raises(ValueError, match="monte_carlo"):
-        run_gain_sweep(cfg)
+def test_gain_sweep_rejects_oversized_exact(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(harness, "sample_instance", lambda *args: sampled.append(args))
+    for mode in (ExactGainMode(), MonteCarloGainMode(reps=10, delta=0.1)):
+        cfg = make_config(sizes=(100, MAX_TOTAL_WEIGHT + 1), reps_per_size=1, gain_mode=mode)
+        with pytest.raises(ValueError, match="sizes"):
+            run_gain_sweep(cfg)
+    assert sampled == []
 
 
-def test_auto_gain_mode_switches_to_monte_carlo():
-    cfg = make_config(
-        sizes=(50,),
-        reps_per_size=2,
-        gain_mode=AutoGainMode(cap=30, target_halfwidth=0.1, delta=0.1),
-    )
-    rows = run_gain_sweep(cfg)
-    # above the cap the auto mode runs Monte Carlo with Hoeffding-sized reps
-    assert all(-1.0 <= row[2] <= 1.0 for row in rows)
-    assert AutoGainMode(cap=30, target_halfwidth=0.1, delta=0.1).resolve(50).reps == math.ceil(
-        math.log(20.0) / 0.02
-    )
+def test_auto_gain_rows_equal_exact_rows(tmp_path):
+    doc = {
+        "mechanism": {"kind": "confidence", "q": {"kind": "linear", "a": 0.8, "b": 0.8}},
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "sizes": [20, 50],
+        "reps_per_size": 2,
+        "seed": 77,
+    }
+    # 'cap' lies below both sizes and is ignored
+    auto = {"kind": "auto", "cap": 30, "target_halfwidth": 0.1, "delta": 0.1}
+    paths = []
+    for mode in (auto, {"kind": "exact"}):
+        rows = run_gain_sweep(config_from_dict({**doc, "gain_mode": mode}))
+        assert [row[7] for row in rows] == ["exact"] * 4
+        paths.append(tmp_path / f"{mode['kind']}.csv")
+        write_gain_csv(rows, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from fluiddem import (
     substream,
     weighted_poisson_binomial_tail,
 )
-from fluiddem.delegation_graph import NO_EDGE, DelegationGraph
-from fluiddem.tally import DIRECT_PRODUCT_MAX_LEN, dp_tail, hoeffding_halfwidth
+from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights, sample_instance
+from fluiddem.distributions import Uniform
+from fluiddem.mechanisms import ConfidenceBased, LinearQ
+from fluiddem.tally import DIRECT_PRODUCT_MAX_LEN, MAX_TOTAL_WEIGHT, dp_tail, hoeffding_halfwidth
 
 
 def graph_of(*out):
@@ -90,6 +92,16 @@ def test_fft_tail_matches_dp(n):
     assert abs(direct - dp_tail(np.ones(n, dtype=np.int64), p, n / 2.0)) <= 1e-12
 
 
+def test_fft_tail_matches_dp_on_a_confidence_graph():
+    # n = 50,000, above the largest size of the random instances above
+    n = 50_000
+    p, graph = sample_instance(ConfidenceBased(LinearQ(0.8, 0.8)), Uniform(0.0, 1.0), n, substream(7, n))
+    w = compute_weights(graph).weight
+    # n/2 is the gain's threshold (a tail near 1 here); w @ p cuts the pmf's bulk
+    for threshold in (n / 2.0, float(w @ p)):
+        assert abs(weighted_poisson_binomial_tail(w, p, threshold) - dp_tail(w, p, threshold)) <= 1e-12
+
+
 def test_tail_threshold_extremes():
     rng = substream(0)
     for _ in range(50):
@@ -158,10 +170,13 @@ def test_exact_gain_star_example():
     assert report.p_fluid == pytest.approx(oracle.p_fluid, abs=1e-12)
 
 
-def test_exact_gain_cap():
-    n = 30
-    with pytest.raises(ValueError, match="monte_carlo_gain"):
-        exact_gain(np.full(n, 0.5), graph_of(*([NO_EDGE] * n)), cap=20)
+def test_total_weight_above_the_limit_raises():
+    with pytest.raises(ValueError, match="total weight"):
+        weighted_poisson_binomial_tail([MAX_TOTAL_WEIGHT + 1], [0.5], 0.5)
+    with pytest.raises(ValueError, match="total weight"):
+        exact_gain([0.5], graph_of(NO_EDGE), weights=[MAX_TOTAL_WEIGHT + 1])
+    # at the limit the tail runs; p = 1 makes the weight a shift, so no pmf is built
+    assert weighted_poisson_binomial_tail([MAX_TOTAL_WEIGHT], [1.0], MAX_TOTAL_WEIGHT - 0.5) == 1.0
 
 
 def test_monte_carlo_trivial_instance():

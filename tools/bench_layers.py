@@ -2,13 +2,14 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_6.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_7.json
 
 Every layer runs 3 times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
 median wall time of the timed call is recorded in milliseconds. Inputs a
 layer only consumes (a graph for compute_weights, competencies for
-direct_tail) are built outside the timed call.
+direct_tail, a confidence graph and its weights for the fluid tail and the
+Monte Carlo tally) are built outside the timed call.
 
 The output file keeps one entry per --label, so the same script run with
 PYTHONPATH pointing at another checkout's src adds that checkout's numbers
@@ -52,6 +53,8 @@ SIZES = (10_000, 100_000, 1_000_000)
 RUNS = 3
 SEED = 2024
 SKIP_ABOVE_S = 20.0
+# Hoeffding reps for half-width 0.05 at confidence 0.95, the values in gain-auto's config
+MC_REPS = 738
 
 UNIT = distributions.Uniform(0.0, 1.0)
 UPWARD = Upward(0.5)
@@ -79,6 +82,18 @@ def _direct_tail(n, rng):
     return lambda: tally.direct_tail(p_vec)
 
 
+def _fluid_tail(n, rng):
+    p_vec, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
+    weight = compute_weights(graph).weight
+    return lambda: tally.weighted_poisson_binomial_tail(weight, p_vec, n / 2.0)
+
+
+def _monte_carlo(n, rng):
+    p_vec, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
+    weight = compute_weights(graph).weight
+    return lambda: tally.monte_carlo_gain(p_vec, graph, MC_REPS, 0.05, rng, weights=weight)
+
+
 def _simon(n, rng):
     return lambda: processes.simulate_simon_components(n, 0.5, rng)
 
@@ -97,6 +112,8 @@ LAYERS = {
     "compute_weights upward": _weights(UPWARD),
     "compute_weights confidence": _weights(CONFIDENCE),
     "direct_tail": _direct_tail,
+    "fluid tail, confidence graph": _fluid_tail,
+    f"monte_carlo_gain, {MC_REPS} reps": _monte_carlo,
     "simulate_simon_components": _simon,
     "six-step sampler, affine phi": _six_step(AFFINE),
     "six-step sampler, 3x3 tabulated phi": _six_step(TABULATED),
