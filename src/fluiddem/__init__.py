@@ -10,6 +10,17 @@ bound concentration of delegated power empirically.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# Replicates already run on fluiddem's own thread pool (--threads); a BLAS
+# pool nested under it only oversubscribes the cores, and OpenBLAS workers
+# spin for a while after every threaded call. OpenBLAS reads the variable
+# once, when numpy loads, so it is set only if numpy is not loaded yet; a
+# value the user sets wins. Child processes inherit it.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .distributions import (
     Uniform,
     TruncatedBeta,

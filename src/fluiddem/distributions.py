@@ -5,7 +5,9 @@ law, whose support is already [0, 1]) and PiecewiseLinearDensity (a density
 that is linear between knots and renormalized to integrate to 1). All are
 atom-free, which the delegation analyses require. Moment and interval-mass
 queries are closed-form; mixed queries against an arbitrary delegation
-probability function fall back to adaptive quadrature.
+probability function fall back to adaptive quadrature. scipy.special is
+imported only when a TruncatedBeta is first queried, so runs under the other
+laws never load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import special
 
 from .quadrature import integrate
 
@@ -98,6 +99,8 @@ def pdf(dist: DistributionSpec, x):
         inside = (x >= dist.lo) & (x <= dist.hi)
         return np.where(inside, 1.0 / (dist.hi - dist.lo), 0.0)
     if isinstance(dist, TruncatedBeta):
+        from scipy import special
+
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = (
                 (dist.a - 1.0) * np.log(x)
@@ -118,6 +121,8 @@ def cdf(dist: DistributionSpec, x):
     if isinstance(dist, Uniform):
         return np.clip((x - dist.lo) / (dist.hi - dist.lo), 0.0, 1.0)
     if isinstance(dist, TruncatedBeta):
+        from scipy import special
+
         return special.betainc(dist.a, dist.b, np.clip(x, 0.0, 1.0))
     if isinstance(dist, PiecewiseLinearDensity):
         xs, ds = dist._arrays()
@@ -188,6 +193,8 @@ def quantile(dist: DistributionSpec, q: float) -> float:
     if isinstance(dist, Uniform):
         return dist.lo + q * (dist.hi - dist.lo)
     if isinstance(dist, TruncatedBeta):
+        from scipy import special
+
         return float(special.betaincinv(dist.a, dist.b, q))
     if isinstance(dist, PiecewiseLinearDensity):
         return float(_pld_ppf(dist, q))

@@ -442,8 +442,9 @@ def phi_bounds(phi: PairWeightFn) -> tuple[float, float]:
             raise NotStrictlyPositiveError("TabulatedPhi attains 0 on its grid")
         return lo, hi
     if isinstance(phi, RowNormalizedPhi):
-        # grid + monotonicity: extremes of phi(x, y) over y sit at y in {0, 1}
-        xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 513), phi_x_knots(phi)]))
+        # grid + monotonicity: extremes of phi(x, y) over y sit at y in {0, 1};
+        # a knot that repeats a grid point changes neither extreme
+        xs = np.concatenate([np.linspace(0.0, 1.0, 513), phi_x_knots(phi)])
         lo = float(np.min(phi(xs, 0.0)))
         hi = float(np.max(phi(xs, 1.0)))
         if lo <= 0.0:

@@ -122,10 +122,17 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     # A cyclic product of length size - 1 wraps only the top coefficient onto
     # the constant one; both are products of end coefficients, set exactly.
+    # The inverse transform writes into the product's buffer, one coefficient
+    # wider than the cyclic product when nfft = size - 1 (irfft's out= needs
+    # numpy >= 2.0, the floor in pyproject.toml).
     nfft = 1 << (size - 2).bit_length()
-    cyclic = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[..., : size - 1]
-    cyclic[..., 0] = a[..., 0] * b[..., 0]
-    prod = np.concatenate([cyclic, a[..., -1:] * b[..., -1:]], axis=-1)
+    spectrum = np.fft.rfft(a, nfft)
+    spectrum *= np.fft.rfft(b, nfft)
+    buf = np.empty(spectrum.shape[:-1] + (max(nfft, size),))
+    np.fft.irfft(spectrum, nfft, out=buf[..., :nfft])
+    prod = buf[..., :size]
+    prod[..., 0] = a[..., 0] * b[..., 0]
+    prod[..., -1] = a[..., -1] * b[..., -1]
     return np.maximum(prod, 0.0, out=prod)
 
 

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +232,66 @@ def test_rerun_produces_identical_data(tmp_path):
     assert main(["gain", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
     assert main(["gain", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
     assert (out1 / "gain.csv").read_bytes() == (out2 / "gain.csv").read_bytes()
+
+
+# scipy and numpy.ma cost start-up time; only the runs that use them may load them
+IMPORT_PROBE = """
+import json, os, sys
+{prelude}
+import fluiddem.cli
+parts = [name.split(".") for name in sys.modules]
+print(json.dumps({{
+    "heavy": sorted(".".join(p) for p in parts if p[0] == "scipy" or p[:2] == ["numpy", "ma"]),
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "prelude, preset, expected",
+    [
+        ("", None, "1"),
+        ("", "3", "3"),
+        # OpenBLAS has read the environment already, so the pin would only leak to children
+        ("import numpy", None, None),
+    ],
+)
+def test_cli_import_loads_no_scipy_and_pins_openblas(prelude, preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(prelude=prelude)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["heavy"] == []
+    assert probe["openblas"] == expected
+
+
+# a fresh interpreter: the thresholds are process-wide, and the heap must not
+# be one that earlier tests have warmed
+HEAP_PROBE = """
+import resource
+from fluiddem import cli, substream, tally
+p = substream(3).random(20_000)
+cli._keep_freed_heap()
+tally.direct_tail(p)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+tally.direct_tail(p)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_repeated_tally_reuses_freed_heap():
+    # about 960 minor faults on the second call with glibc's default thresholds, 3 with them fixed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout.split()[-1]) < 100

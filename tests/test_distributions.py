@@ -20,6 +20,7 @@ from fluiddem.distributions import (
     DegenerateMechanismError,
     cdf,
     from_config,
+    pdf,
     quantile,
     to_config,
 )
@@ -127,6 +128,21 @@ def test_quantile_inverts_cdf():
         for q in (0.1, 0.25, 0.5, 0.9):
             x = quantile(dist, q)
             assert float(cdf(dist, x)) == pytest.approx(q, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 0.5)])
+def test_truncated_beta_queries_equal_scipy_special(a, b):
+    from scipy import special
+
+    dist = TruncatedBeta(a, b)
+    x = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-12, 0.5 - 1e-12, 1.0 - 1e-12]])
+    with np.errstate(divide="ignore"):
+        density = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - special.betaln(a, b))
+    density[~np.isfinite(density)] = 0.0
+    assert np.array_equal(pdf(dist, x), density)
+    assert np.array_equal(cdf(dist, x), special.betainc(a, b, x))
+    for q in (0.0, 1e-9, 0.1, 0.5, 0.9, 1.0):
+        assert quantile(dist, q) == float(special.betaincinv(a, b, q))
 
 
 def test_piecewise_sampler_matches_cdf():

@@ -134,6 +134,33 @@ def test_expected_w_matches_product():
         assert expected_w(n, k, p) == pytest.approx(product, rel=1e-10)
 
 
+def lgamma_slack(n: int, p: float) -> float:
+    # the log-gamma form rounds each term to its own ulp, and those cancel in the sum
+    return 1e-13 + 8.0 * math.ulp(math.lgamma(n + p))
+
+
+def test_expected_w_matches_product_at_large_n():
+    rng = substream(17)
+    for n in (30, 1_000, 20_000, 100_000):
+        for _ in range(20):
+            k = int(rng.integers(1, n + 1))
+            p = float(rng.random())
+            product = float(np.prod(1.0 + p / np.arange(k, n, dtype=float))) if k < n else 1.0
+            assert expected_w(n, k, p) == pytest.approx(product, rel=lgamma_slack(n, p))
+
+
+def test_expected_w_matches_the_gammaln_form():
+    from scipy.special import gammaln
+
+    rng = substream(18)
+    for _ in range(500):
+        n = int(rng.integers(1, 100_001))
+        k = int(rng.integers(1, n + 1))
+        p = float(rng.random())
+        old = math.exp(gammaln(n + p) + gammaln(k) - gammaln(p + k) - gammaln(n))
+        assert expected_w(n, k, p) == pytest.approx(old, rel=lgamma_slack(n, p))
+
+
 def test_v_process_no_steps():
     assert simulate_v_process(0, 3, substream(8)) == 1
 

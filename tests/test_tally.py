@@ -19,7 +19,7 @@ from fluiddem import (
 from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights, sample_instance
 from fluiddem.distributions import Uniform
 from fluiddem.mechanisms import ConfidenceBased, LinearQ
-from fluiddem.tally import DIRECT_PRODUCT_MAX_LEN, MAX_TOTAL_WEIGHT, dp_tail, hoeffding_halfwidth
+from fluiddem.tally import DIRECT_PRODUCT_MAX_LEN, MAX_TOTAL_WEIGHT, _multiply, dp_tail, hoeffding_halfwidth
 
 
 def graph_of(*out):
@@ -60,6 +60,26 @@ def test_dp_matches_brute_force(data):
     dp = weighted_poisson_binomial_tail(weights, probs, threshold)
     bf = brute_force_tail(weights, probs, threshold)
     assert abs(dp - bf) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [
+        ((40,), (57,)),  # nfft = 128 > size - 1 = 95: the buffer is wider than the product
+        ((5, 33), (5, 33)),  # nfft = 64 = size - 1: the top coefficient lies past the cyclic product
+    ],
+)
+def test_fft_product_matches_convolve(shape_a, shape_b):
+    assert min(shape_a[-1], shape_b[-1]) >= DIRECT_PRODUCT_MAX_LEN
+    rng = substream(19, shape_a[-1])
+    a, b = rng.random(shape_a), rng.random(shape_b)
+    prod = _multiply(a, b)
+    assert prod.shape == shape_a[:-1] + (shape_a[-1] + shape_b[-1] - 1,)
+    want = np.array([np.convolve(x, y) for x, y in zip(np.atleast_2d(a), np.atleast_2d(b))])
+    want = want.reshape(prod.shape)
+    np.testing.assert_allclose(prod, want, rtol=0.0, atol=1e-12 * want.max())
+    assert np.array_equal(prod[..., 0], a[..., 0] * b[..., 0])
+    assert np.array_equal(prod[..., -1], a[..., -1] * b[..., -1])
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_7.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_8.json
 
 Every layer runs 3 times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
@@ -18,6 +18,10 @@ the fluiddem it imported, and whether its files differ from that commit.
 A size is skipped (recorded as null) when the layer's median at the previous
 size, scaled by the square of the size ratio, exceeds SKIP_ABOVE_S: an
 O(n^2) layer would run for hours at 1e6.
+
+The `import` layer is the start-up of the CLI: the median over IMPORT_RUNS
+fresh interpreters of the time to `import fluiddem.cli` (the same fluiddem,
+found through PYTHONPATH), and the number of modules that import loads.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+# fluiddem before numpy, so that the layers run with the BLAS thread count the CLI gets
+import fluiddem  # isort: skip
 import numpy as np
-
-import fluiddem
 from fluiddem import distributions, processes, tally
 from fluiddem.delegation_graph import compute_weights, sample_instance
 from fluiddem.harness import run_six_step_sampler
@@ -53,6 +57,13 @@ SIZES = (10_000, 100_000, 1_000_000)
 RUNS = 3
 SEED = 2024
 SKIP_ABOVE_S = 20.0
+IMPORT_RUNS = 5
+IMPORT_PROBE = """
+import json, sys, time
+before, start = len(sys.modules), time.perf_counter()
+import fluiddem.cli
+print(json.dumps({"ms": 1e3 * (time.perf_counter() - start), "modules": len(sys.modules) - before}))
+"""
 # Hoeffding reps for half-width 0.05 at confidence 0.95, the values in gain-auto's config
 MC_REPS = 738
 
@@ -131,6 +142,21 @@ def time_layer(prepare, n: int, size_idx: int) -> float:
     return statistics.median(times)
 
 
+def time_import() -> dict:
+    """Median milliseconds and module count of `import fluiddem.cli` in fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fluiddem.__file__).resolve().parents[1]))
+    probes = []
+    for _ in range(IMPORT_RUNS):
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        probes.append(json.loads(done.stdout))
+    return {
+        "median_ms": round(statistics.median(p["ms"] for p in probes), 3),
+        "modules": statistics.median(p["modules"] for p in probes),
+    }
+
+
 def environment() -> dict:
     src = Path(fluiddem.__file__).resolve().parent
     try:
@@ -179,8 +205,11 @@ def main(argv=None) -> int:
         "runs": RUNS,
         "seed": SEED,
         "skip_above_s": SKIP_ABOVE_S,
+        "import_runs": IMPORT_RUNS,
         "unit": "ms",
     }
+    imported = time_import()
+    print(f"import: {imported['median_ms']:.1f} ms, {imported['modules']} modules", file=sys.stderr)
     layers = {}
     for name, prepare in LAYERS.items():
         row, last = {}, None
@@ -193,7 +222,11 @@ def main(argv=None) -> int:
             last = (n, ms)
             print(f"{name} n={n}: {ms:.1f} ms", file=sys.stderr, flush=True)
         layers[name] = row
-    doc.setdefault("runs", {})[args.label] = {"environment": environment(), "median_ms": layers}
+    doc.setdefault("runs", {})[args.label] = {
+        "environment": environment(),
+        "import": imported,
+        "median_ms": layers,
+    }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
