@@ -104,15 +104,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise ValueError(f"field 'sizes': cannot parse override {text!r}") from exc
 
 
-def _validate_for_command(command: str, cfg: harness.ExperimentConfig) -> None:
-    if command == "gain":
-        harness.check_gain_sizes(cfg)
-    if command == "scaling" and max(cfg.sizes) < 100 * min(cfg.sizes):
-        raise ValueError("field 'sizes': a scaling study needs sizes spanning >= 2 decades")
-    if command == "sixstep" and not isinstance(cfg.mechanism, mechanisms.GeneralContinuous):
-        raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
-
-
 def _bucket_inputs(raw: dict):
     for required in ("phi", "distribution", "p", "eps"):
         if required not in raw:
@@ -179,7 +170,7 @@ def main(argv=None) -> int:
                 cfg = dataclasses.replace(cfg, seed=int(args.seed))
             if args.sizes is not None:
                 cfg = dataclasses.replace(cfg, sizes=_parse_sizes(args.sizes))
-            _validate_for_command(command, cfg)
+            harness.check_command(command, cfg)
         if args.threads < 1:
             raise ValueError(f"field 'threads': must be >= 1, got {args.threads}")
         out_dir = None
@@ -217,10 +208,10 @@ def main(argv=None) -> int:
         )
         if command == "simulate":
             rows = harness.run_simulate_experiment(cfg, threads, edge_dir=out_dir)
-            harness.write_simulate_csv(rows, out_dir / "instances.csv")
+            harness.write_csv(out_dir / "instances.csv", harness.SIMULATE_HEADER, rows)
         elif command == "gain":
             rows = harness.run_gain_sweep(cfg, threads)
-            harness.write_gain_csv(rows, out_dir / "gain.csv")
+            harness.write_csv(out_dir / "gain.csv", harness.GAIN_HEADER, rows)
         elif command == "conditions":
             report = harness.run_condition_experiment(cfg, threads)
             report.to_csv(out_dir / "conditions.csv")
@@ -230,10 +221,10 @@ def main(argv=None) -> int:
             )
         elif command == "scaling":
             rows = harness.run_scaling_study(cfg, threads)
-            harness.write_scaling_csv(rows, out_dir / "scaling.csv")
+            harness.write_csv(out_dir / "scaling.csv", harness.SCALING_HEADER, rows)
         elif command == "sixstep":
             rows = harness.run_sixstep_experiment(cfg, threads)
-            harness.write_sixstep_csv(rows, out_dir / "sixstep.csv")
+            harness.write_csv(out_dir / "sixstep.csv", harness.SIXSTEP_HEADER, rows)
         else:  # pragma: no cover - argparse guards this
             raise ValueError(f"unknown command {command!r}")
 

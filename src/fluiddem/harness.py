@@ -20,7 +20,8 @@ import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union
 
@@ -274,11 +275,43 @@ def estimate_lift_constant(mech: MechanismSpec, dist) -> tuple[float, float, flo
 # replication plumbing
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads and threads > 1:
+def replicate(cfg: ExperimentConfig, fn, threads: int) -> list[list]:
+    """fn(n, rep, rng) for every size n and rep, one list per size in rep order.
+
+    rng is substream(cfg.seed, size index, rep), so each result depends only
+    on its own key; one pool of `threads` workers serves every size.
+    """
+    keys = [(n_idx, n, rep) for n_idx, n in enumerate(cfg.sizes) for rep in range(cfg.reps_per_size)]
+
+    def one(key):
+        n_idx, n, rep = key
+        return fn(n, rep, substream(cfg.seed, n_idx, rep))
+
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            flat = list(pool.map(one, keys))
+    else:
+        flat = [one(key) for key in keys]
+    reps = cfg.reps_per_size
+    return [flat[i : i + reps] for i in range(0, len(flat), reps)]
+
+
+def check_command(command: str, cfg: ExperimentConfig) -> None:
+    """Refuse a config the command cannot run, before any instance is sampled.
+
+    gain: sizes above tally.MAX_TOTAL_WEIGHT, in every gain mode (an instance
+    of n voters has total weight at most n, so the limit bounds every exact
+    tail the sweep computes). scaling: sizes spanning fewer than 2 decades.
+    sixstep: a mechanism other than kind 'general'.
+    """
+    if command == "gain" and max(cfg.sizes) > MAX_TOTAL_WEIGHT:
+        raise ValueError(
+            f"field 'sizes': gain supports n <= {MAX_TOTAL_WEIGHT}, got {max(cfg.sizes)}"
+        )
+    if command == "scaling" and max(cfg.sizes) < 100 * min(cfg.sizes):
+        raise ValueError("field 'sizes': a scaling study needs sizes spanning >= 2 decades")
+    if command == "sixstep" and not isinstance(cfg.mechanism, GeneralContinuous):
+        raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
 
 
 def _fmt(value) -> str:
@@ -327,47 +360,12 @@ class ConditionReport:
     delta_exponent: Optional[float]
     log_coefficient: Optional[float]
 
-    HEADER = [
-        "n",
-        "reps",
-        "freq1",
-        "ci1",
-        "freq2",
-        "ci2",
-        "freq3",
-        "ci3",
-        "mean_max_weight",
-        "mean_lift",
-        "mean_nullified",
-    ]
-
     def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            list(self.HEADER),
-            [
-                (
-                    r.n,
-                    r.reps,
-                    r.freq1,
-                    r.ci1,
-                    r.freq2,
-                    r.ci2,
-                    r.freq3,
-                    r.ci3,
-                    r.mean_max_weight,
-                    r.mean_lift,
-                    r.mean_nullified,
-                )
-                for r in self.rows
-            ],
-        )
+        write_csv(path, [f.name for f in fields(ConditionRow)], [astuple(r) for r in self.rows])
 
 
-def _instance_stats(args):
-    mech, dist, n, seed, n_idx, rep = args
-    rng = substream(seed, n_idx, rep)
-    p_vec, graph = sample_instance(mech, dist, n, rng)
+def _instance_stats(cfg: ExperimentConfig, n: int, rep: int, rng) -> tuple:
+    p_vec, graph = sample_instance(cfg.mechanism, cfg.distribution, n, rng)
     profile = compute_weights(graph)
     comp_sum = float(p_vec.sum())
     weighted_sum = float(np.dot(profile.weight, p_vec))
@@ -400,16 +398,9 @@ def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> Conditi
     ci = hoeffding_halfwidth(cfg.reps_per_size, cfg.ci_delta)
     fitted: Optional[float] = cfg.log_coefficient
     rows = []
-    for n_idx, n in enumerate(cfg.sizes):
-        tasks = [
-            (cfg.mechanism, cfg.distribution, n, cfg.seed, n_idx, rep)
-            for rep in range(cfg.reps_per_size)
-        ]
-        stats_list = _parallel_map(_instance_stats, tasks, threads)
-        max_ws = np.array([s[0] for s in stats_list], dtype=float)
-        lifts = np.array([s[1] for s in stats_list])
-        comp_sums = np.array([s[2] for s in stats_list])
-        nullified = np.array([s[3] for s in stats_list], dtype=float)
+    per_size = replicate(cfg, partial(_instance_stats, cfg), threads)
+    for n, stats in zip(cfg.sizes, per_size):
+        max_ws, lifts, comp_sums, nullified = (np.array(col, dtype=float) for col in zip(*stats))
         if fitted is None and not isinstance(cfg.mechanism, Upward):
             fitted = float(np.percentile(max_ws / math.log(n), 99.9))
         bound = cfg.max_weight_bound(n, fitted)
@@ -450,11 +441,10 @@ GAIN_HEADER = [
 ]
 
 
-def _gain_row(args):
-    mech, dist, n, seed, n_idx, rep, gain_mode = args
-    rng = substream(seed, n_idx, rep)
-    p_vec, graph = sample_instance(mech, dist, n, rng)
+def _gain_row(cfg: ExperimentConfig, n: int, rep: int, rng) -> tuple:
+    p_vec, graph = sample_instance(cfg.mechanism, cfg.distribution, n, rng)
     profile = compute_weights(graph)
+    gain_mode = cfg.gain_mode
     if isinstance(gain_mode, MonteCarloGainMode):
         report = monte_carlo_gain(
             p_vec, graph, gain_mode.reps, gain_mode.delta, rng, weights=profile.weight
@@ -475,33 +465,10 @@ def _gain_row(args):
     )
 
 
-def check_gain_sizes(cfg: ExperimentConfig) -> None:
-    """Refuse sizes above tally.MAX_TOTAL_WEIGHT, before any instance is sampled.
-
-    The limit holds in every gain mode. An instance of n voters has total
-    weight at most n, so it bounds every exact tail the sweep computes.
-    """
-    if max(cfg.sizes) > MAX_TOTAL_WEIGHT:
-        raise ValueError(
-            f"field 'sizes': gain supports n <= {MAX_TOTAL_WEIGHT}, got {max(cfg.sizes)}"
-        )
-
-
 def run_gain_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
     """One row per rep, with the GAIN_HEADER columns (ci_halfwidth and reps None on exact rows)."""
-    check_gain_sizes(cfg)
-    rows = []
-    for n_idx, n in enumerate(cfg.sizes):
-        tasks = [
-            (cfg.mechanism, cfg.distribution, n, cfg.seed, n_idx, rep, cfg.gain_mode)
-            for rep in range(cfg.reps_per_size)
-        ]
-        rows.extend(_parallel_map(_gain_row, tasks, threads))
-    return rows
-
-
-def write_gain_csv(rows: list[tuple], path) -> None:
-    write_csv(path, list(GAIN_HEADER), rows)
+    check_command("gain", cfg)
+    return [row for rows in replicate(cfg, partial(_gain_row, cfg), threads) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +480,13 @@ SCALING_HEADER = ["n", "percentile99_max_weight", "max_weight_over_ln_n", "nulli
 
 def run_scaling_study(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
     """Per size: 99th-percentile max_weight, its ratio to ln n, mean nullified fraction."""
-    if max(cfg.sizes) < 100 * min(cfg.sizes):
-        raise ValueError("field 'sizes': a scaling study needs sizes spanning >= 2 decades")
+    check_command("scaling", cfg)
     rows = []
-    for n_idx, n in enumerate(cfg.sizes):
-        tasks = [
-            (cfg.mechanism, cfg.distribution, n, cfg.seed, n_idx, rep)
-            for rep in range(cfg.reps_per_size)
-        ]
-        stats_list = _parallel_map(_instance_stats, tasks, threads)
-        max_ws = np.array([s[0] for s in stats_list], dtype=float)
-        nullified = np.array([s[3] for s in stats_list], dtype=float)
+    for n, stats in zip(cfg.sizes, replicate(cfg, partial(_instance_stats, cfg), threads)):
+        max_ws, _, _, nullified = (np.array(col, dtype=float) for col in zip(*stats))
         p99 = float(np.percentile(max_ws, 99))
         rows.append((n, p99, p99 / math.log(n), float((nullified / n).mean())))
     return rows
-
-
-def write_scaling_csv(rows: list[tuple], path) -> None:
-    write_csv(path, list(SCALING_HEADER), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -685,14 +641,11 @@ SIXSTEP_HEADER = [
 
 def run_sixstep_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
     """Six-step diagnostics, one row per (n, rep)."""
-    if not isinstance(cfg.mechanism, GeneralContinuous):
-        raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
+    check_command("sixstep", cfg)
     coeff = cfg.log_coefficient if cfg.log_coefficient is not None else 4.0
     lift = gc_lift_constant(normalize_phi(cfg.mechanism.phi, cfg.distribution), cfg.distribution)
 
-    def one(args):
-        n_idx, n, rep = args
-        rng = substream(cfg.seed, n_idx, rep)
+    def sixstep_row(n, rep, rng):
         _, _, diag = run_six_step_sampler(
             cfg.mechanism,
             cfg.distribution,
@@ -715,16 +668,7 @@ def run_sixstep_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[tupl
             diag.weighted_q_sum,
         )
 
-    tasks = [
-        (n_idx, n, rep)
-        for n_idx, n in enumerate(cfg.sizes)
-        for rep in range(cfg.reps_per_size)
-    ]
-    return _parallel_map(one, tasks, threads)
-
-
-def write_sixstep_csv(rows: list[tuple], path) -> None:
-    write_csv(path, list(SIXSTEP_HEADER), rows)
+    return [row for rows in replicate(cfg, sixstep_row, threads) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -741,22 +685,11 @@ def run_simulate_experiment(cfg: ExperimentConfig, threads: int = 1, edge_dir=No
     edges_n{n}_rep{rep}.csv.
     """
 
-    def one(args):
-        n_idx, n, rep = args
-        rng = substream(cfg.seed, n_idx, rep)
+    def summary_row(n, rep, rng):
         _, graph = sample_instance(cfg.mechanism, cfg.distribution, n, rng)
         if edge_dir is not None:
             to_edge_csv(graph, Path(edge_dir) / f"edges_n{n}_rep{rep}.csv")
         profile = compute_weights(graph)
         return (n, rep, profile.max_weight, profile.total_weight, len(profile.nullified))
 
-    tasks = [
-        (n_idx, n, rep)
-        for n_idx, n in enumerate(cfg.sizes)
-        for rep in range(cfg.reps_per_size)
-    ]
-    return _parallel_map(one, tasks, threads)
-
-
-def write_simulate_csv(rows: list[tuple], path) -> None:
-    write_csv(path, list(SIMULATE_HEADER), rows)
+    return [row for rows in replicate(cfg, summary_row, threads) for row in rows]

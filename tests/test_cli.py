@@ -99,15 +99,23 @@ def test_oversized_exact_gain_exits_one(tmp_path, capsys):
     assert "sizes" in capsys.readouterr().err
 
 
-def test_gain_size_above_the_limit_exits_one_before_sampling(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, sizes, message",
+    [
+        ("gain", f"100,{MAX_TOTAL_WEIGHT + 1}", f"field 'sizes': gain supports n <= {MAX_TOTAL_WEIGHT}"),
+        ("scaling", "100,9999", "field 'sizes': a scaling study needs sizes spanning >= 2 decades"),
+        ("sixstep", "100,200", "field 'mechanism': the sixstep experiment needs kind 'general'"),
+    ],
+    ids=["gain", "scaling", "sixstep"],
+)
+def test_command_check_exits_one_before_sampling(tmp_path, capsys, monkeypatch, command, sizes, message):
     sampled = []
     monkeypatch.setattr(harness, "sample_instance", lambda *args: sampled.append(args))
     auto = {"kind": "auto", "cap": 150}
     cfg = write_config(tmp_path, {**GAIN_CONFIG, "gain_mode": auto})
     out = tmp_path / "x"
-    sizes = f"100,{MAX_TOTAL_WEIGHT + 1}"
-    assert main(["gain", "--config", cfg, "--out", str(out), "--sizes", sizes]) == 1
-    assert f"n <= {MAX_TOTAL_WEIGHT}" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(out), "--sizes", sizes]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists() and sampled == []
 
 

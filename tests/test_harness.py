@@ -22,6 +22,7 @@ from fluiddem import (
 from fluiddem import harness
 from fluiddem.delegation_graph import NO_EDGE, sample_instance
 from fluiddem.harness import (
+    GAIN_HEADER,
     ExactGainMode,
     ExperimentConfig,
     MonteCarloGainMode,
@@ -36,7 +37,7 @@ from fluiddem.harness import (
     run_simulate_experiment,
     run_six_step_sampler,
     run_sixstep_experiment,
-    write_gain_csv,
+    write_csv,
 )
 from fluiddem.tally import MAX_TOTAL_WEIGHT
 
@@ -202,11 +203,30 @@ def test_conditions_upward_desk_scale():
     assert row.mean_nullified == 0.0
 
 
-def test_conditions_deterministic_across_threads():
-    cfg = make_config(sizes=(120, 240), reps_per_size=16)
-    a = run_condition_experiment(cfg, threads=1)
-    b = run_condition_experiment(cfg, threads=4)
-    assert a == b
+@pytest.mark.parametrize(
+    "run, overrides",
+    [
+        pytest.param(run_condition_experiment, {}, id="conditions"),
+        pytest.param(run_gain_sweep, {}, id="gain"),
+        pytest.param(run_scaling_study, {"sizes": (100, 10_000)}, id="scaling"),
+        pytest.param(
+            run_sixstep_experiment, {"mechanism": GeneralContinuous(0.3, BENCH_GRID)}, id="sixstep"
+        ),
+        pytest.param(run_simulate_experiment, {}, id="simulate"),
+    ],
+)
+def test_run_deterministic_across_threads(run, overrides):
+    cfg = make_config(**{"sizes": (120, 240), "reps_per_size": 16, **overrides})
+    assert run(cfg, threads=1) == run(cfg, threads=4)
+
+
+def test_replicate_keys_each_stream_by_size_index_and_rep():
+    cfg = make_config(sizes=(5, 9, 13), reps_per_size=3)
+    per_size = harness.replicate(cfg, lambda n, rep, rng: (n, rep, rng.random()), threads=2)
+    assert per_size == [
+        [(n, rep, substream(cfg.seed, n_idx, rep).random()) for rep in range(3)]
+        for n_idx, n in enumerate(cfg.sizes)
+    ]
 
 
 def test_conditions_frequencies_nondecreasing_in_default_suite():
@@ -277,7 +297,7 @@ def test_auto_gain_rows_equal_exact_rows(tmp_path):
         rows = run_gain_sweep(config_from_dict({**doc, "gain_mode": mode}))
         assert [row[7] for row in rows] == ["exact"] * 4
         paths.append(tmp_path / f"{mode['kind']}.csv")
-        write_gain_csv(rows, paths[-1])
+        write_csv(paths[-1], GAIN_HEADER, rows)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

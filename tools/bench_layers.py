@@ -9,7 +9,10 @@ index, run)), one instance per run, competencies from Uniform(0, 1); the
 median wall time of the timed call is recorded in milliseconds. Inputs a
 layer only consumes (a graph for compute_weights, competencies for
 direct_tail, a confidence graph and its weights for the fluid tail and the
-Monte Carlo tally) are built outside the timed call.
+Monte Carlo tally) are built outside the timed call. The layers run with
+the glibc malloc thresholds that `fluiddem` CLI runs fix
+(`cli._keep_freed_heap`), so the tally layers fault in no more pages than
+they do under the CLI.
 
 The output file keeps one entry per --label, so the same script run with
 PYTHONPATH pointing at another checkout's src adds that checkout's numbers
@@ -40,7 +43,7 @@ from pathlib import Path
 # fluiddem before numpy, so that the layers run with the BLAS thread count the CLI gets
 import fluiddem  # isort: skip
 import numpy as np
-from fluiddem import distributions, processes, tally
+from fluiddem import cli, distributions, processes, tally
 from fluiddem.delegation_graph import compute_weights, sample_instance
 from fluiddem.harness import run_six_step_sampler
 from fluiddem.mechanisms import (
@@ -210,6 +213,7 @@ def main(argv=None) -> int:
     }
     imported = time_import()
     print(f"import: {imported['median_ms']:.1f} ms, {imported['modules']} modules", file=sys.stderr)
+    cli._keep_freed_heap()
     layers = {}
     for name, prepare in LAYERS.items():
         row, last = {}, None
