@@ -104,19 +104,21 @@ def stats(profile: WeightProfile) -> tuple[int, int, int]:
 def forest_roots(out: np.ndarray) -> np.ndarray:
     """Where each voter's delegation walk ends, by pointer doubling.
 
-    Direct voters (out < 0) point at themselves and the pointer array is
-    squared, root = root[root], until it stops changing, for at most
+    Direct voters (out < 0) point at themselves. Each round squares the
+    pointers, root = root[root], of the walks that have not yet reached a
+    direct voter (the others are fixed points), for at most
     (n-1).bit_length() rounds, enough for a walk of n-1 edges. A walk that
     ends at a direct voter returns that voter; a walk into a cycle never
     settles and returns a voter that still delegates.
     """
     n = out.shape[0]
     root = np.where(out < 0, np.arange(n), out)
+    live = np.flatnonzero(out[root] >= 0)
     for _ in range((n - 1).bit_length()):
-        nxt = root[root]
-        if np.array_equal(nxt, root):
+        if not live.size:
             break
-        root = nxt
+        root[live] = root[root[live]]
+        live = live[out[root[live]] >= 0]
     return root
 
 
@@ -198,13 +200,21 @@ def _count_greater(p_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stable descending order of p_vec, and per voter the number of
     voters with strictly greater p.
 
-    In that order a voter's count is the position where its tie group
-    starts; the count is scattered back to voter order.
+    numpy's default sort is several times faster than its stable one but
+    leaves ties in no set order; a lexsort of the tied positions alone puts
+    each tie group back in voter order, so the upward sampler's targets do
+    not depend on which sort numpy picks. In that order a voter's count is
+    the position where its tie group starts; it is scattered back to voter
+    order.
     """
     n = p_vec.shape[0]
-    order = np.argsort(-p_vec, kind="stable")
+    order = np.argsort(-p_vec)
     desc = p_vec[order]
     first = np.concatenate(([True], desc[1:] != desc[:-1]))
+    if not first.all():
+        group = np.cumsum(first)
+        tied = np.flatnonzero(~first | np.append(~first[1:], False))
+        order[tied] = order[tied[np.lexsort((order[tied], group[tied]))]]
     greater = np.empty(n, dtype=np.int64)
     greater[order] = np.maximum.accumulate(np.where(first, np.arange(n), 0))
     return order, greater

@@ -120,3 +120,28 @@ def block_row_sums(phi, p_vec):
         block[np.arange(e - s), np.arange(s, e)] = 0.0
         out[s:e] = block.sum(axis=1)
     return out
+
+
+def stable_count_greater(p_vec):
+    """The stable descending order of p_vec and per-voter counts of strictly
+    greater p, from numpy's stable sort (oracle for _count_greater)."""
+    n = p_vec.shape[0]
+    order = np.argsort(-p_vec, kind="stable")
+    desc = p_vec[order]
+    first = np.concatenate(([True], desc[1:] != desc[:-1]))
+    greater = np.empty(n, dtype=np.int64)
+    greater[order] = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    return order, greater
+
+
+def full_doubling_roots(out):
+    """forest_roots by squaring the whole pointer array, root = root[root],
+    until it stops changing or after (n-1).bit_length() rounds (oracle)."""
+    n = out.shape[0]
+    root = np.where(out < 0, np.arange(n), out)
+    for _ in range((n - 1).bit_length()):
+        nxt = root[root]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    return root

@@ -92,29 +92,30 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-def test_oversized_exact_gain_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, {**GAIN_CONFIG, "sizes": [100, MAX_TOTAL_WEIGHT + 1]})
-    code = main(["gain", "--config", cfg, "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "sizes" in capsys.readouterr().err
+GAIN_TOO_BIG = f"field 'sizes': gain supports n <= {MAX_TOTAL_WEIGHT}"
+SCALING_TOO_NARROW = "field 'sizes': a scaling study needs sizes spanning >= 2 decades"
+SIXSTEP_NOT_GENERAL = "field 'mechanism': the sixstep experiment needs kind 'general'"
+AUTO_WITH_CAP = {"gain_mode": {"kind": "auto", "cap": 150}}
 
 
 @pytest.mark.parametrize(
-    "command, sizes, message",
+    "command, config, argv, message",
     [
-        ("gain", f"100,{MAX_TOTAL_WEIGHT + 1}", f"field 'sizes': gain supports n <= {MAX_TOTAL_WEIGHT}"),
-        ("scaling", "100,9999", "field 'sizes': a scaling study needs sizes spanning >= 2 decades"),
-        ("sixstep", "100,200", "field 'mechanism': the sixstep experiment needs kind 'general'"),
+        ("gain", AUTO_WITH_CAP, ["--sizes", f"100,{MAX_TOTAL_WEIGHT + 1}"], GAIN_TOO_BIG),
+        ("gain", {"sizes": [100, MAX_TOTAL_WEIGHT + 1]}, [], GAIN_TOO_BIG),
+        ("scaling", AUTO_WITH_CAP, ["--sizes", "100,9999"], SCALING_TOO_NARROW),
+        ("sixstep", AUTO_WITH_CAP, [], SIXSTEP_NOT_GENERAL),
     ],
-    ids=["gain", "scaling", "sixstep"],
+    ids=["gain", "gain-config-sizes", "scaling", "sixstep"],
 )
-def test_command_check_exits_one_before_sampling(tmp_path, capsys, monkeypatch, command, sizes, message):
+def test_command_check_exits_one_before_sampling(
+    tmp_path, capsys, monkeypatch, command, config, argv, message
+):
     sampled = []
     monkeypatch.setattr(harness, "sample_instance", lambda *args: sampled.append(args))
-    auto = {"kind": "auto", "cap": 150}
-    cfg = write_config(tmp_path, {**GAIN_CONFIG, "gain_mode": auto})
+    cfg = write_config(tmp_path, {**GAIN_CONFIG, **config})
     out = tmp_path / "x"
-    assert main([command, "--config", cfg, "--out", str(out), "--sizes", sizes]) == 1
+    assert main([command, "--config", cfg, "--out", str(out), *argv]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists() and sampled == []
 

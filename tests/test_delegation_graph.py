@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from helpers import pooled_chisq_pvalue, row_loop_targets
+from helpers import (
+    full_doubling_roots,
+    pooled_chisq_pvalue,
+    row_loop_targets,
+    stable_count_greater,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +29,7 @@ from fluiddem.delegation_graph import (
     DelegationGraph,
     _count_greater,
     component_sizes,
+    forest_roots,
     from_edge_csv,
     mixture_targets,
     sample_graph,
@@ -136,12 +142,31 @@ def test_adversarial_shapes_match_naive_oracle(n):
     for name, out in adversarial_shapes(n).items():
         profile = compute_weights(graph_of(*out))
         assert "dels" not in vars(profile), "dels must be computed on first access only"
+        assert np.array_equal(profile.root, full_doubling_roots(profile.out)), name
         dels, weight, nullified = naive_profile(out)
         assert profile.weight.tolist() == weight, name
         assert profile.nullified.tolist() == nullified, name
         assert profile.dels.tolist() == dels, name
         assert profile.max_weight == max(weight), name
         assert profile.total_weight == sum(weight), name
+
+
+def test_forest_roots_match_full_doubling_with_cycles():
+    # walks into a cycle never leave the live set; their roots must still be
+    # the ones full-array doubling reaches after the same number of rounds
+    rng = substream(43)
+    for n in [1, 2, 3, 50, 1000, 1023, 1024, 1025, 10_000, 100_000]:
+        # a random functional graph; then a chain through half of the voters
+        # that ends in a 3-cycle, the others direct or delegating at random
+        random_out = rng.integers(-1, n, size=n)
+        chained = np.where(rng.random(n) < 0.5, NO_EDGE, rng.integers(0, n, size=n))
+        chain = rng.permutation(n)[: n // 2 + 1]
+        chained[chain[:-1]] = chain[1:]
+        if chain.size >= 3:
+            chained[chain[-1]] = chain[-3]
+        for out in (random_out, chained):
+            out[out == np.arange(n)] = NO_EDGE
+            assert np.array_equal(forest_roots(out), full_doubling_roots(out)), n
 
 
 @settings(max_examples=150, deadline=None)
@@ -211,7 +236,7 @@ def test_upward_sampler_matches_sort_searchsorted_on_ties():
         u_delegate = ref_rng.random(n)
         asc = np.sort(p_vec)
         greater = n - np.searchsorted(asc, p_vec, side="right")
-        desc_order = np.argsort(-p_vec, kind="stable")
+        desc_order = stable_count_greater(p_vec)[0]
         delegators = np.where((u_delegate < 0.8) & (greater > 0))[0]
         ranks = np.floor(ref_rng.random(delegators.size) * greater[delegators]).astype(np.int64)
         ranks = np.minimum(ranks, greater[delegators] - 1)
@@ -220,6 +245,25 @@ def test_upward_sampler_matches_sort_searchsorted_on_ties():
         order, count = _count_greater(p_vec)
         assert order.tolist() == desc_order.tolist()
         assert count.tolist() == greater.tolist()
+
+
+def test_count_greater_matches_stable_sort_at_scale():
+    rng = substream(61)
+    n = 200_000
+    vectors = {
+        "n = 1": rng.random(1),
+        "all equal": np.full(1000, 0.37),
+        "all zero": np.zeros(n),
+        "no ties": rng.random(n),
+        "five levels": np.array([0.0, 0.25, 0.5, 0.75, 1.0])[rng.integers(0, 5, size=n)],
+        "three decimals": np.round(rng.random(n), 3),
+        "half zeros": np.where(rng.random(n) < 0.5, 0.0, rng.random(n)),
+    }
+    for name, p_vec in vectors.items():
+        order, count = _count_greater(p_vec)
+        ref_order, ref_count = stable_count_greater(p_vec)
+        assert np.array_equal(order, ref_order), name
+        assert np.array_equal(count, ref_count), name
 
 
 def test_confidence_based_targets_uniform():
