@@ -38,10 +38,10 @@ def _keep_freed_heap() -> None:
     glibc serves blocks above M_MMAP_THRESHOLD (128 KiB at start, raised only
     as mapped blocks are freed) from fresh mappings and hands heap tops above
     M_TRIM_THRESHOLD back to the kernel, so the tally's level-sized
-    temporaries fault in new pages on every call: about 2,200 minor faults
-    per exact_gain at n = 20,000, against 4 with the thresholds fixed at
-    32 MiB (the adaptive ceiling) and 64 MiB. C libraries without mallopt
-    are left alone.
+    temporaries fault in new pages on every call: about 600 minor faults
+    per exact_gain at n = 20,000 (October 2026, windowed tally), against 0
+    with the thresholds fixed at 32 MiB (the adaptive ceiling) and 64 MiB.
+    C libraries without mallopt are left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

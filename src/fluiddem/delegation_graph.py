@@ -288,12 +288,10 @@ def component_sizes(profile: WeightProfile) -> np.ndarray:
 
 
 def to_edge_csv(graph: DelegationGraph, path) -> None:
-    """Write the graph as a CSV edge list: voter, target-or-empty."""
+    """Write the graph as a CSV edge list (voter, target-or-empty) in `csv.writer`'s bytes."""
+    rows = [f"{i},{'' if t < 0 else t}\r\n" for i, t in enumerate(graph.out.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voter", "target"])
-        for i, t in enumerate(graph.out.tolist()):
-            writer.writerow([i, "" if t < 0 else t])
+        fh.write("voter,target\r\n" + "".join(rows))
 
 
 def from_edge_csv(path) -> DelegationGraph:

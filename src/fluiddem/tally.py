@@ -6,26 +6,27 @@ strictly exceed n/2 (ties count as incorrect, which matters for even n).
 
 The exact path multiplies the voters' probability generating polynomials
 (1 - p_i) + p_i x^{w_i} in a product tree (Biscarri, Zhao & Brunner, CSDA
-122, 2018): Poisson-binomial pmfs per weight class, dilated by the weight and
-convolved, with FFT products once the polynomials reach
-DIRECT_PRODUCT_MAX_LEN coefficients. It costs O(W log^2 W) for total weight
-W. Voters with p_i in {0, 1} are taken out of the product, so degenerate
-instances give exact 0.0 and 1.0.
+122, 2018). Voters with p_i in {0, 1} stay out of it, so degenerate instances
+give exact 0.0 and 1.0; the rest are grouped by weight and padded with p = 0
+to blocks of BLOCK. A coefficient-major direct stage gives each block's
+count pmf, and batched FFT levels multiply a group's blocks pairwise, keeping
+only each product's Hoeffding window (JASA 1963): the totals within
+mu_S +- sqrt(sum_S w_i^2 ln(2/EPS) / 2) of a set S hold all but EPS of its
+mass. The group pmfs, dilated by their weights, are multiplied pairwise, each
+product on the cyclic lattice of its own window.
 
-Against the O(n * W) dynamic program `dp_tail`, kept as the test oracle,
-the absolute error of a tail was at most 1.3e-14 on random weighted
-instances up to n = 20,000, and 1.1e-13 where every p_i is below 0.01 (the
-round-off of each FFT coefficient is about 1e-17 and the tail sums up to n
-of them). On confidence-graph weight profiles under Uniform(0, 1), for the
-direct tail and for fluid tails at n/2 and at the fluid mean, it was at most
-1.3e-14, 2.8e-14, 3.2e-14 and 8.1e-14 at n = 2e4, 5e4, 1e5 and 2e5: round-off
-grows roughly in proportion to n. Extrapolated linearly, not measured, it is
-about 4e-13 at n = 1e6 (6e-12 with every p_i below 0.01). The tests pin it at
-1e-12 up to n = 50,000.
+Fewer than n windows each drop or wrap in at most EPS = 1e-30 of mass, so a
+tail moves by less than 1e-24 at n = 1e6, and a threshold outside the final
+window (11,815 totals for a direct tail at n = 1e6) gives exactly 0.0 or 1.0.
+Against the dynamic program `dp_tail`, kept as the test oracle, the round-off
+of a tail was at most 4.1e-14 on random weighted instances at n = 20,000, and
+3.6e-15, 9.1e-15 and 1.5e-14 at n = 2e4, 5e4 and 1e5 on confidence and upward
+graphs under Uniform(0, 1) (direct tail; fluid tails at n/2 and at the mean).
+The tests pin it at 1e-12 up to n = 50,000.
 
-MAX_TOTAL_WEIGHT bounds W. The product tree's working set is about 74 bytes
-per voter (tracemalloc peak of `direct_tail`: 70.6 MiB at n = 1e6), so the
-limit of 1e7 keeps one instance's tallies under 1 GB.
+MAX_TOTAL_WEIGHT = 1e7 keeps one instance's tallies under 1 GB: the working set is
+about 57 bytes per voter (tracemalloc peaks at n = 1e6: 54.4 MiB for `direct_tail`,
+28 and 24 MiB for fluid tails at the mean of confidence and upward graphs).
 
 The Monte Carlo path samples full vote vectors and reports Hoeffding
 confidence intervals.
@@ -39,12 +40,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .delegation_graph import DelegationGraph, compute_weights
 
 MAX_TOTAL_WEIGHT = 10_000_000
 BRUTE_FORCE_MAX_N = 20
-DIRECT_PRODUCT_MAX_LEN = 32
+BLOCK = 32  # leaves per block of the direct levels
+EPS = 1e-30  # mass a window may leave out
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:
         if np.any(np.abs(w - w_int) > 0):
             raise ValueError("weights must be nonnegative integers")
         w = w_int
-    w = w.astype(np.int64)
+    w = w.astype(np.int64, copy=False)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative integers")
     if np.any((p < 0.0) | (p > 1.0)):
@@ -103,92 +106,121 @@ def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:
     return w, p
 
 
-def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products of polynomials, coefficients along the last axis.
+def _window(mean, spread, lo, hi):
+    """The totals in [lo, hi] within mean +- t, t = sqrt(spread ln(2/EPS) / 2), as integer bounds."""
+    t = np.sqrt(spread * (math.log(2.0 / EPS) / 2.0))
+    return np.clip([np.floor(mean - t), np.ceil(mean + t)], lo, hi).astype(np.int64)
 
-    When either factor is shorter than DIRECT_PRODUCT_MAX_LEN the product is
-    a direct convolution, which is faster there and rounds like the dynamic
-    program; otherwise it goes through a real FFT, and the round-off that
-    makes coefficients negative is clipped to 0.
+
+def _block_pmfs(leaves: np.ndarray) -> np.ndarray:
+    """Count pmfs of blocks of BLOCK Bernoulli trials: leaves[j, b] is trial j of block b.
+
+    Coefficient-major: row k of the result holds P[k successes] of every
+    block, and each level multiplies the first half of every block's
+    polynomials by the second half over rows that span all blocks.
     """
-    la, lb = a.shape[-1], b.shape[-1]
-    size = la + lb - 1
-    if min(la, lb) < DIRECT_PRODUCT_MAX_LEN:
-        if la > lb:
-            a, b, la, lb = b, a, lb, la
-        out = np.zeros(a.shape[:-1] + (size,))
-        for j in range(la):
-            out[..., j : j + lb] += a[..., j, None] * b
-        return out
-    # A cyclic product of length size - 1 wraps only the top coefficient onto
-    # the constant one; both are products of end coefficients, set exactly.
-    # The inverse transform writes into the product's buffer, one coefficient
-    # wider than the cyclic product when nfft = size - 1 (irfft's out= needs
-    # numpy >= 2.0, the floor in pyproject.toml).
-    nfft = 1 << (size - 2).bit_length()
-    spectrum = np.fft.rfft(a, nfft)
-    spectrum *= np.fft.rfft(b, nfft)
-    buf = np.empty(spectrum.shape[:-1] + (max(nfft, size),))
-    np.fft.irfft(spectrum, nfft, out=buf[..., :nfft])
-    prod = buf[..., :size]
-    prod[..., 0] = a[..., 0] * b[..., 0]
-    prod[..., -1] = a[..., -1] * b[..., -1]
-    return np.maximum(prod, 0.0, out=prod)
+    c = np.stack([1.0 - leaves, leaves])
+    while c.shape[1] > 1:
+        half = c.shape[1] // 2
+        out = np.zeros((2 * len(c) - 1, half, c.shape[2]))
+        for j, coef in enumerate(c[:, :half]):
+            out[j : j + len(c)] += coef * c[:, half:]
+        c = out
+    return c[:, 0]
 
 
-def _poisson_binomial_pmfs(probs: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """pmfs of the success counts of consecutive groups of Bernoulli(p_i) trials.
-
-    `probs` holds counts[0] trials of the first group, then counts[1] of the
-    second, and so on; the result holds one pmf per group. One product tree
-    serves every group: the leaves [1 - p_i, p_i] are multiplied pairwise
-    within their group, one level at a time, all pairs of a level in one
-    batched product; a group with an odd number of rows is padded with the
-    polynomial 1, and a group leaves the tree once it is down to one row.
-    """
-    rows = np.stack([1.0 - probs, probs], axis=1)
-    pmfs = [None] * len(counts)
-    groups = np.arange(len(counts))  # the groups still in the tree, in row order
-    left = counts  # their rows
+def _run_products(rows, count, mean, left):
+    """Windowed products of runs of rows: run g is left[g] rows, row r the pmf of
+    count[r] trials with mean mean[r]. Each level multiplies all pairs in one
+    FFT product, wrapping only totals past each product's window onto it.
+    Yields (runs, offsets, rows, counts, means) as runs come down to one row."""
+    offset = np.zeros(len(rows), dtype=np.int64)
+    runs = np.arange(len(left))
     while True:
+        first = np.cumsum(left) - left
         done = left == 1
-        starts = np.cumsum(left) - left
-        for g, start in zip(groups[done].tolist(), starts[done].tolist()):
-            pmfs[g] = rows[start, : counts[g] + 1].copy()
+        yield runs[done], offset[first[done]], rows[first[done]], count[first[done]], mean[first[done]]
         if done.all():
-            return pmfs
-        rows, groups, left = rows[np.repeat(~done, left)], groups[~done], left[~done]
-        one = np.zeros(rows.shape[1])
-        one[0] = 1.0
-        rows = np.insert(rows, np.cumsum(left)[left % 2 == 1], one, axis=0)
-        left = (left + 1) // 2
-        rows = _multiply(rows[0::2], rows[1::2])
+            return
+        keep = np.repeat(~done, left)
+        rows, offset, count, mean = rows[keep], offset[keep], count[keep], mean[keep]
+        runs, left = runs[~done], left[~done]
+        half = (left + 1) // 2
+        k = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
+        a = np.repeat(np.cumsum(left) - left, half) + 2 * k
+        paired = 2 * k + 1 < np.repeat(left, half)
+        b = a + paired
+        offset = offset[a] + paired * offset[b]
+        count = count[a] + paired * count[b]
+        mean = mean[a] + paired * mean[b]
+        width = rows.shape[1]
+        lo, hi = _window(mean, count, offset, offset + 2 * width - 2)
+        start = lo - offset
+        kept = int((hi - lo).max()) + 1
+        nfft = 1 << (max(int(start.max()) + kept, width) - 1).bit_length()
+        # each level-sized array is dropped once used, which halves the peak
+        spectrum = np.fft.rfft(rows[a], nfft)
+        other = np.fft.rfft(rows[b], nfft)
+        del rows
+        other[~paired] = 1.0  # the spectrum of the polynomial 1
+        spectrum *= other
+        del other
+        product = np.fft.irfft(spectrum, nfft)
+        del spectrum
+        rows = sliding_window_view(product, kept, axis=1)[np.arange(len(start)), start]
+        del product
+        np.maximum(rows, 0.0, out=rows)  # FFT round-off below 0
+        offset, left = lo, half
+
+
+def _folded_product(a, b):
+    """Product of two group pmfs (first total, pmf, mean, spread) on its window's cyclic lattice."""
+    (first_a, pmf_a, mean_a, spread_a), (first_b, pmf_b, mean_b, spread_b) = a, b
+    first = first_a + first_b
+    lo, hi = map(int, _window(mean_a + mean_b, spread_a + spread_b, first, first + len(pmf_a) + len(pmf_b) - 2))
+    size = 1 << (hi - lo).bit_length()
+    spectrum = np.fft.rfft(np.bincount((first_a + np.arange(len(pmf_a))) % size, pmf_a, size))
+    spectrum *= np.fft.rfft(np.bincount((first_b + np.arange(len(pmf_b))) % size, pmf_b, size))
+    pmf = np.fft.irfft(spectrum, size)[np.arange(lo, hi + 1) % size]
+    return lo, np.maximum(pmf, 0.0, out=pmf), mean_a + mean_b, spread_a + spread_b
 
 
 def weighted_poisson_binomial_tail(weights, probs, threshold: float) -> float:
     """Exact P[sum_i w_i V_i > threshold] with independent V_i ~ Bernoulli(p_i).
 
     Voters with w_i = 0 or p_i = 0 never add to the total and p_i = 1 voters
-    add a fixed shift, so only the rest enter the pmf. Those are grouped by
-    weight; each group's Poisson-binomial pmf is dilated by its weight, and
-    the groups are convolved. See the module docstring for the error bound.
+    add a fixed shift, so only the rest enter the pmf; see the module
+    docstring for the product and its error bound.
     """
     w, p = _check_tail_inputs(weights, probs)
     shift = int(w[p == 1.0].sum())
     uncertain = (w > 0) & (p > 0.0) & (p < 1.0)
     w, p = w[uncertain], p[uncertain]
+    lo, hi = map(int, _window(float((w * p).sum()), float(w @ w), 0, int(w.sum())))
+    kmin = math.floor(threshold - shift) + 1
+    if not lo < kmin <= hi:
+        return float(kmin <= lo)
     values, counts = np.unique(w, return_counts=True)
-    groups = _poisson_binomial_pmfs(p[np.argsort(w, kind="stable")], counts)
-    pmfs = []
-    for value, group in zip(values.tolist(), groups):
-        dilated = np.zeros(value * (group.shape[0] - 1) + 1)
-        dilated[::value] = group
-        pmfs.append(dilated)
+    blocks = -(-counts // BLOCK)
+    pad = blocks * BLOCK - counts
+    leaves = np.zeros((int(blocks.sum()), BLOCK))
+    slots = np.arange(len(p)) + np.repeat(np.cumsum(pad) - pad, counts)
+    leaves.ravel()[slots] = p[np.argsort(w, kind="stable")]
+    del w, p, slots  # as in `_run_products`, for the peak
+    rows = np.ascontiguousarray(_block_pmfs(leaves.T).T)
+    products = _run_products(rows, np.count_nonzero(leaves, axis=1), leaves.sum(axis=1), blocks)
+    del leaves, rows
+    pmfs = [None] * len(values)  # per group: first total, pmf over totals, mean, spread
+    for runs, offset, rows, count, mean in products:
+        for g, o, row, c, m in zip(runs.tolist(), offset.tolist(), rows, count.tolist(), mean.tolist()):
+            v, row = int(values[g]), row[: c - o + 1]  # no padding past c trials
+            dilated = np.zeros(v * (len(row) - 1) + 1)
+            dilated[::v] = row
+            pmfs[g] = (v * o, dilated, v * m, v * v * c)
     while len(pmfs) > 1:
-        products = [_multiply(a, b) for a, b in zip(pmfs[0::2], pmfs[1::2])]
-        pmfs = products + pmfs[2 * len(products) :]
-    pmf = pmfs[0] if pmfs else np.ones(1)
-    return _tail_from_pmf(pmf, threshold - shift)
+        pmfs = [_folded_product(a, b) for a, b in zip(pmfs[0::2], pmfs[1::2])] + pmfs[len(pmfs) // 2 * 2 :]
+    first, pmf = pmfs[0][:2]
+    return min(math.fsum(pmf[max(kmin - first, 0) :].tolist()), 1.0)
 
 
 def direct_tail(probs) -> float:

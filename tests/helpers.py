@@ -1,5 +1,7 @@
 """Shared statistical helpers for the test suite."""
 
+import csv
+
 import numpy as np
 from scipy import stats as sps
 
@@ -145,3 +147,12 @@ def full_doubling_roots(out):
             break
         root = nxt
     return root
+
+
+def csv_writer_edges(graph, path) -> None:
+    """The edge list as `csv.writer` writes it, one row at a time (oracle for to_edge_csv)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["voter", "target"])
+        for i, t in enumerate(graph.out.tolist()):
+            writer.writerow([i, "" if t < 0 else t])

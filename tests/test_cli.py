@@ -7,10 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import csv_writer_edges
 
 from fluiddem import harness
 from fluiddem.cli import main
-from fluiddem.delegation_graph import sample_instance, to_edge_csv
+from fluiddem.delegation_graph import sample_instance
 from fluiddem.harness import config_from_dict
 from fluiddem.streams import substream
 from fluiddem.tally import MAX_TOTAL_WEIGHT
@@ -165,7 +166,7 @@ def test_simulate_edge_lists_match_a_serial_resample(tmp_path):
         "reps_per_size": 3,
     }
     cfg = write_config(tmp_path, raw)
-    # the edge lists as written by sampling every instance again, one by one
+    # the edge lists as csv.writer writes them, sampling every instance again, one by one
     expected = tmp_path / "serial"
     expected.mkdir()
     spec = config_from_dict(raw)
@@ -173,7 +174,7 @@ def test_simulate_edge_lists_match_a_serial_resample(tmp_path):
         for rep in range(spec.reps_per_size):
             rng = substream(spec.seed, n_idx, rep)
             _, graph = sample_instance(spec.mechanism, spec.distribution, n, rng)
-            to_edge_csv(graph, expected / f"edges_n{n}_rep{rep}.csv")
+            csv_writer_edges(graph, expected / f"edges_n{n}_rep{rep}.csv")
     names = sorted(path.name for path in expected.iterdir())
     assert len(names) == 6
     for threads in ("1", "2"):
@@ -298,7 +299,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
 def test_repeated_tally_reuses_freed_heap():
-    # about 960 minor faults on the second call with glibc's default thresholds, 3 with them fixed
+    # about 600 minor faults on the second call with glibc's default thresholds, 0 with them fixed
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run(
         [sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True, text=True, check=True

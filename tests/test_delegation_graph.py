@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    csv_writer_edges,
     full_doubling_roots,
     pooled_chisq_pvalue,
     row_loop_targets,
@@ -427,3 +428,12 @@ def test_edge_csv_roundtrip(tmp_path):
     loaded = from_edge_csv(path)
     assert loaded.n == graph.n
     assert np.array_equal(loaded.out, graph.out)
+
+
+def test_edge_csv_bytes_match_csv_writer(tmp_path):
+    sampled = sample_graph(ConfidenceBased(ConstantQ(0.5)), substream(8).random(2_000), substream(9))
+    assert np.count_nonzero(sampled.out == NO_EDGE) > 0
+    for graph in (graph_of(2, NO_EDGE, 1, NO_EDGE), graph_of(NO_EDGE), sampled):
+        to_edge_csv(graph, tmp_path / "fast.csv")
+        csv_writer_edges(graph, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -19,7 +19,7 @@ from fluiddem import (
 from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights, sample_instance
 from fluiddem.distributions import Uniform
 from fluiddem.mechanisms import ConfidenceBased, LinearQ
-from fluiddem.tally import DIRECT_PRODUCT_MAX_LEN, MAX_TOTAL_WEIGHT, _multiply, dp_tail, hoeffding_halfwidth
+from fluiddem.tally import BLOCK, MAX_TOTAL_WEIGHT, _block_pmfs, _window, dp_tail, hoeffding_halfwidth
 
 
 def graph_of(*out):
@@ -62,33 +62,30 @@ def test_dp_matches_brute_force(data):
     assert abs(dp - bf) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "shape_a, shape_b",
-    [
-        ((40,), (57,)),  # nfft = 128 > size - 1 = 95: the buffer is wider than the product
-        ((5, 33), (5, 33)),  # nfft = 64 = size - 1: the top coefficient lies past the cyclic product
-    ],
-)
-def test_fft_product_matches_convolve(shape_a, shape_b):
-    assert min(shape_a[-1], shape_b[-1]) >= DIRECT_PRODUCT_MAX_LEN
-    rng = substream(19, shape_a[-1])
-    a, b = rng.random(shape_a), rng.random(shape_b)
-    prod = _multiply(a, b)
-    assert prod.shape == shape_a[:-1] + (shape_a[-1] + shape_b[-1] - 1,)
-    want = np.array([np.convolve(x, y) for x, y in zip(np.atleast_2d(a), np.atleast_2d(b))])
-    want = want.reshape(prod.shape)
-    np.testing.assert_allclose(prod, want, rtol=0.0, atol=1e-12 * want.max())
-    assert np.array_equal(prod[..., 0], a[..., 0] * b[..., 0])
-    assert np.array_equal(prod[..., -1], a[..., -1] * b[..., -1])
+def test_block_pmfs_match_chained_convolve():
+    rng = substream(19)
+    leaves = rng.random((BLOCK, 40))
+    leaves[rng.random(leaves.shape) < 0.2] = 0.0  # the padding leaves of a short group
+    leaves[:, 0] = 0.0
+    leaves[:, 1] = 1.0
+    pmfs = _block_pmfs(leaves)
+    assert pmfs.shape == (BLOCK + 1, 40)
+    for block, pmf in zip(leaves.T, pmfs.T):
+        want = np.ones(1)
+        for p in block:
+            want = np.convolve(want, [1.0 - p, p])
+        np.testing.assert_allclose(pmf, want, rtol=0.0, atol=1e-15)
+    assert np.array_equal(pmfs[:, 0], np.eye(BLOCK + 1)[0])
+    assert np.array_equal(pmfs[:, 1], np.eye(BLOCK + 1)[-1])
 
 
 @pytest.mark.parametrize(
     "n",
-    [1, DIRECT_PRODUCT_MAX_LEN - 1, DIRECT_PRODUCT_MAX_LEN, 2 * DIRECT_PRODUCT_MAX_LEN + 1, 1000, 20_000],
+    [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1, 1000, 20_000],
 )
 def test_fft_tail_matches_dp(n):
     rng = substream(7, n)
-    for kind in ("geometric", "degenerate", "near_one", "near_zero", "heavy", "zero"):
+    for kind in ("geometric", "degenerate", "near_one", "near_zero", "heavy", "zero", "distinct"):
         p = rng.random(n)
         w = rng.geometric(0.5, size=n) - 1
         if kind == "degenerate":
@@ -103,6 +100,9 @@ def test_fft_tail_matches_dp(n):
             w[rng.integers(0, n, size=3)] = n // 3 + 1
         elif kind == "zero":
             w = np.zeros(n, dtype=np.int64)
+        elif kind == "distinct":  # weight groups of one or two voters, multiplied pairwise
+            w = np.zeros(n, dtype=np.int64)
+            w[rng.integers(0, n, size=40)] = rng.integers(1, n // 20 + 2, size=40)
         thresholds = (n / 2.0, float(w @ p), float(rng.integers(-1, w.sum() + 2)))
         for threshold in thresholds:
             fft = weighted_poisson_binomial_tail(w, p, threshold)
@@ -120,6 +120,31 @@ def test_fft_tail_matches_dp_on_a_confidence_graph():
     # n/2 is the gain's threshold (a tail near 1 here); w @ p cuts the pmf's bulk
     for threshold in (n / 2.0, float(w @ p)):
         assert abs(weighted_poisson_binomial_tail(w, p, threshold) - dp_tail(w, p, threshold)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2_000, 50_000])
+def test_windowed_tail_matches_dp_where_the_window_is_narrow(n):
+    # every p_i within 0.01 of 0 or 1: the pmf is far narrower than the Hoeffding window
+    rng = substream(23, n)
+    u = 0.01 * rng.random(n)
+    p = np.where(rng.random(n) < 0.5, u, 1.0 - u)
+    # one dynamic program per weight profile: a threshold in the lower tail, one in the upper
+    for w, z in ((np.ones(n, dtype=np.int64), -2.0), (rng.geometric(0.5, size=n), 1.0)):
+        threshold = float(w @ p) + z * math.sqrt(float(w**2 @ (p * (1.0 - p))))
+        assert abs(weighted_poisson_binomial_tail(w, p, threshold) - dp_tail(w, p, threshold)) <= 1e-12
+
+
+def test_thresholds_outside_the_final_window_give_exact_zero_and_one():
+    n = 5_000
+    rng = substream(29)
+    p = rng.random(n)
+    w = rng.geometric(0.5, size=n)
+    lo, hi = map(int, _window(float(w @ p), float(w @ w), 0, int(w.sum())))
+    assert 0 < lo < hi < w.sum()
+    assert weighted_poisson_binomial_tail(w, p, hi) == 0.0
+    assert weighted_poisson_binomial_tail(w, p, lo - 1) == 1.0
+    assert dp_tail(w, p, hi) <= 1e-15
+    assert dp_tail(w, p, lo - 1) >= 1.0 - 1e-15
 
 
 def test_tail_threshold_extremes():

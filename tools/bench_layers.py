@@ -2,14 +2,16 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_8.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_11.json
 
 Every layer runs 3 times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
 median wall time of the timed call is recorded in milliseconds. Inputs a
 layer only consumes (a graph for compute_weights, competencies for
 direct_tail, a confidence graph and its weights for the fluid tail and the
-Monte Carlo tally) are built outside the timed call. The layers run with
+Monte Carlo tally, a confidence graph for to_edge_csv) are built outside
+the timed call; to_edge_csv writes to os.devnull, so its time is the
+formatting and one write call, not the disk. The layers run with
 the glibc malloc thresholds that `fluiddem` CLI runs fix
 (`cli._keep_freed_heap`), so the tally layers fault in no more pages than
 they do under the CLI.
@@ -44,7 +46,7 @@ from pathlib import Path
 import fluiddem  # isort: skip
 import numpy as np
 from fluiddem import cli, distributions, processes, tally
-from fluiddem.delegation_graph import compute_weights, sample_instance
+from fluiddem.delegation_graph import compute_weights, sample_instance, to_edge_csv
 from fluiddem.harness import run_six_step_sampler
 from fluiddem.mechanisms import (
     AffineInY,
@@ -96,16 +98,27 @@ def _direct_tail(n, rng):
     return lambda: tally.direct_tail(p_vec)
 
 
-def _fluid_tail(n, rng):
-    p_vec, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
-    weight = compute_weights(graph).weight
-    return lambda: tally.weighted_poisson_binomial_tail(weight, p_vec, n / 2.0)
+def _fluid_tail(at_mean):
+    # n/2 is the threshold of the gain; a confidence graph's fluid mean lies far
+    # above it, so the tail at the mean is the one that needs the whole product
+    def prepare(n, rng):
+        p_vec, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
+        weight = compute_weights(graph).weight
+        threshold = float((weight * p_vec).sum()) if at_mean else n / 2.0
+        return lambda: tally.weighted_poisson_binomial_tail(weight, p_vec, threshold)
+
+    return prepare
 
 
 def _monte_carlo(n, rng):
     p_vec, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
     weight = compute_weights(graph).weight
     return lambda: tally.monte_carlo_gain(p_vec, graph, MC_REPS, 0.05, rng, weights=weight)
+
+
+def _edge_csv(n, rng):
+    _, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
+    return lambda: to_edge_csv(graph, os.devnull)
 
 
 def _simon(n, rng):
@@ -126,8 +139,10 @@ LAYERS = {
     "compute_weights upward": _weights(UPWARD),
     "compute_weights confidence": _weights(CONFIDENCE),
     "direct_tail": _direct_tail,
-    "fluid tail, confidence graph": _fluid_tail,
+    "fluid tail, confidence graph": _fluid_tail(at_mean=False),
+    "fluid tail at its mean, confidence graph": _fluid_tail(at_mean=True),
     f"monte_carlo_gain, {MC_REPS} reps": _monte_carlo,
+    "to_edge_csv, confidence graph": _edge_csv,
     "simulate_simon_components": _simon,
     "six-step sampler, affine phi": _six_step(AFFINE),
     "six-step sampler, 3x3 tabulated phi": _six_step(TABULATED),
