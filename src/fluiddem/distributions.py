@@ -5,9 +5,9 @@ law, whose support is already [0, 1]) and PiecewiseLinearDensity (a density
 that is linear between knots and renormalized to integrate to 1). All are
 atom-free, which the delegation analyses require. Moment and interval-mass
 queries are closed-form; mixed queries against an arbitrary delegation
-probability function fall back to adaptive quadrature. scipy.special is
-imported only when a TruncatedBeta is first queried, so runs under the other
-laws never load scipy.
+probability function use quadrature. scipy.special is imported only when a
+TruncatedBeta is first queried, so runs under the other laws never load
+scipy.
 """
 
 from __future__ import annotations
@@ -210,10 +210,9 @@ def _breakpoints(dist: DistributionSpec):
 
 
 def expectation(dist: DistributionSpec, g: Callable, tol: float = 1e-10) -> float:
-    """E[g(p)] by adaptive quadrature, splitting at density and g kinks."""
-    breaks = set(_breakpoints(dist))
-    breaks.update(getattr(g, "breakpoints", lambda: ())())
-    return integrate(lambda x: float(g(x)) * float(pdf(dist, x)), 0.0, 1.0, tol, breaks)
+    """E[g(p)] by quadrature, splitting at density and g kinks; g maps arrays to arrays."""
+    breaks = {*_breakpoints(dist), *getattr(g, "breakpoints", lambda: ())()}
+    return integrate(lambda x: g(x) * pdf(dist, x), 0.0, 1.0, tol, breaks)
 
 
 def nondelegator_mean(dist: DistributionSpec, q) -> float:
@@ -224,10 +223,10 @@ def nondelegator_mean(dist: DistributionSpec, q) -> float:
     is strictly decreasing this exceeds mean(dist); the package checks that
     as a test property rather than assuming it.
     """
-    den = expectation(dist, lambda x: 1.0 - float(q(x)), tol=1e-10)
+    den = expectation(dist, lambda x: 1.0 - q(x), tol=1e-10)
     if den <= 1e-12:
         raise DegenerateMechanismError("everyone delegates: E[1 - q] = 0")
-    num = expectation(dist, lambda x: (1.0 - float(q(x))) * x, tol=1e-10)
+    num = expectation(dist, lambda x: (1.0 - q(x)) * x, tol=1e-10)
     return num / den
 
 

@@ -207,16 +207,12 @@ def builtin_bucket_configs():
 # lift constants
 
 
-def _phi_y_moment(phi, dist, x: float) -> float:
-    """E_{y ~ dist}[phi(x, y) * y]."""
-    breaks = set(distributions._breakpoints(dist))
-    breaks.update(mechanisms_phi_y_knots(phi))
+def _phi_y_moment(phi, dist, x):
+    """E_{y ~ dist}[phi(x, y) * y] per entry of x (a float for a float x)."""
+    x = np.asarray(x, dtype=float)
+    breaks = {*distributions._breakpoints(dist), *mechanisms_phi_y_knots(phi)}
     return integrate(
-        lambda y: float(phi(x, y)) * y * float(distributions.pdf(dist, y)),
-        0.0,
-        1.0,
-        1e-11,
-        breaks,
+        lambda y: phi(x[..., None], y) * y * distributions.pdf(dist, y), 0.0, 1.0, 1e-11, breaks
     )
 
 
@@ -226,8 +222,8 @@ def gc_lift_constant(phi_normalized, dist) -> float:
     For a tabulated base, E_y[phi(x, .) * y] and the divisor are linear in x
     on each grid cell, so the minimum lies on a grid row; other bases ignore x.
     """
-    xs = phi_x_knots(phi_normalized) or (0.5,)
-    return min(_phi_y_moment(phi_normalized, dist, float(x)) for x in xs) - distributions.mean(dist)
+    xs = np.array(phi_x_knots(phi_normalized) or (0.5,))
+    return float(np.min(_phi_y_moment(phi_normalized, dist, xs))) - distributions.mean(dist)
 
 
 def estimate_lift_constant(mech: MechanismSpec, dist) -> tuple[float, float, float]:
@@ -266,7 +262,7 @@ def estimate_lift_constant(mech: MechanismSpec, dist) -> tuple[float, float, flo
                 RuntimeWarning,
                 stacklevel=2,
             )
-            c = max(c, 0.0)
+            c = 0.0
         return mu, c, c * mech.p / 4.0
     raise TypeError(f"not a mechanism: {mech!r}")
 

@@ -240,8 +240,8 @@ class RowNormalizedPhi:
     @functools.cached_property
     def _row_means(self) -> np.ndarray:
         """E_y[base(x_i, .)] per grid row of a tabulated base, else at x = 0."""
-        xs = self.base._xs if isinstance(self.base, TabulatedPhi) else (0.0,)
-        return np.array([phi_mean_in_y(self.base, self.dist, float(x)) for x in xs])
+        xs = self.base._xs if isinstance(self.base, TabulatedPhi) else np.zeros(1)
+        return phi_mean_in_y(self.base, self.dist, xs)
 
     def _means(self, x: np.ndarray):
         if isinstance(self.base, Indicator):
@@ -307,19 +307,13 @@ def row_mixture(phi: "PairWeightFn", x) -> RowMixture:
 
 def phi_x_knots(phi) -> tuple[float, ...]:
     """x positions where phi may have kinks (grid lines of tabulated variants)."""
-    if isinstance(phi, TabulatedPhi):
-        return tuple(phi._xs)
-    if isinstance(phi, RowNormalizedPhi):
-        return phi_x_knots(phi.base)
-    return ()
+    base = sampling_equivalent(phi)
+    return tuple(base._xs) if isinstance(base, TabulatedPhi) else ()
 
 
 def phi_y_knots(phi) -> tuple[float, ...]:
-    if isinstance(phi, TabulatedPhi):
-        return tuple(phi._ys)
-    if isinstance(phi, RowNormalizedPhi):
-        return phi_y_knots(phi.base)
-    return ()
+    base = sampling_equivalent(phi)
+    return tuple(base._ys) if isinstance(base, TabulatedPhi) else ()
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +379,21 @@ def pair_weight(mech: MechanismSpec, x, y):
     raise TypeError(f"not a mechanism: {mech!r}")
 
 
-def phi_mean_in_y(phi: PairWeightFn, dist, x: float) -> float:
-    """E_{y ~ dist}[phi(x, y)], closed-form where possible."""
+def phi_mean_in_y(phi: PairWeightFn, dist, x):
+    """E_{y ~ dist}[phi(x, y)] per entry of x (a float for a float x), closed-form where possible."""
+    x = np.asarray(x, dtype=float)
     if isinstance(phi, Constant1):
-        return 1.0
-    if isinstance(phi, AffineInY):
-        return phi.c0 + phi.c1 * distributions.mean(dist)
-    if isinstance(phi, Indicator):
-        return 1.0 - float(distributions.cdf(dist, x))
-    breaks = set(distributions._breakpoints(dist))
-    breaks.update(phi_y_knots(phi))
-    return integrate(
-        lambda y: float(phi(x, y)) * float(distributions.pdf(dist, y)),
-        0.0,
-        1.0,
-        1e-12,
-        breaks,
-    )
+        m = np.ones(x.shape)
+    elif isinstance(phi, AffineInY):
+        m = np.full(x.shape, phi.c0 + phi.c1 * distributions.mean(dist))
+    elif isinstance(phi, Indicator):
+        m = 1.0 - distributions.cdf(dist, x)
+    else:
+        breaks = {*distributions._breakpoints(dist), *phi_y_knots(phi)}
+        m = integrate(
+            lambda y: phi(x[..., None], y) * distributions.pdf(dist, y), 0.0, 1.0, 1e-12, breaks
+        )
+    return m if x.ndim else float(m)
 
 
 def normalize_phi(phi: PairWeightFn, dist) -> PairWeightFn:

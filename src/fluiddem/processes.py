@@ -250,36 +250,26 @@ def _grid_modulus(phi: PairWeightFn, B: int) -> float:
     """Largest phi variation within any square of side 1/B, on a half-step lattice."""
     lattice = np.linspace(0.0, 1.0, 2 * B + 1)
     vals = np.asarray(phi(lattice[:, None], lattice[None, :]), dtype=float)
-    hi = None
-    lo = None
-    for di in range(3):
-        for dj in range(3):
-            sub = vals[di : di + 2 * B - 1 : 2, dj : dj + 2 * B - 1 : 2]
-            hi = sub if hi is None else np.maximum(hi, sub)
-            lo = sub if lo is None else np.minimum(lo, sub)
-    return float(np.max(hi - lo))
+    squares = np.lib.stride_tricks.sliding_window_view(vals, (3, 3))[::2, ::2]
+    return float(np.max(squares.max(axis=(2, 3)) - squares.min(axis=(2, 3))))
 
 
-def _bucket_sup_table(phi: PairWeightFn, boundaries: np.ndarray, B: int) -> np.ndarray:
+def _bucket_sup_table(phi: PairWeightFn, boundaries: np.ndarray) -> np.ndarray:
     """phi_prime[t, t'] = sup over x in bucket t of phi(x, upper bound of t').
 
     Monotonicity in y makes the y-supremum exact at the bucket's upper
-    boundary; the x-supremum is taken on a 32-point interior grid plus the
-    bucket endpoints (exact for x-independent and tabulated variants).
+    boundary. On each grid cell a tabulated phi is linear in x, a
+    row-normalized one linear-fractional with a positive divisor, and any
+    other phi constant, so phi is monotone in x there: the x-supremum lies at
+    a bucket end or at a grid line inside the bucket.
     """
     uppers = boundaries[1:]
-    if not phi.depends_on_x:
-        row = np.asarray(phi(0.0, uppers), dtype=float)
-        return np.tile(row, (B, 1))
-    extra = phi_x_knots(phi)
-    table = np.empty((B, B))
-    for t in range(B):
-        xs = np.linspace(boundaries[t], boundaries[t + 1], 34)
-        inner = [x for x in extra if boundaries[t] < x < boundaries[t + 1]]
-        if inner:
-            xs = np.concatenate([xs, inner])
-        table[t] = np.asarray(phi(xs[:, None], uppers[None, :]), dtype=float).max(axis=0)
-    return table
+    xs = np.sort(np.concatenate([boundaries, phi_x_knots(phi)]))
+    vals = np.asarray(phi(xs[:, None], uppers[None, :]), dtype=float)
+    # rows from each lower end up to the next one cover the lower end and the
+    # knots inside; the upper end is the next bucket's first row
+    table = np.maximum.reduceat(vals, np.searchsorted(xs, boundaries[:-1]), axis=0)
+    return np.maximum(table, vals[np.searchsorted(xs, uppers)])
 
 
 def build_bucket_model(phi: PairWeightFn, dist, p: float, eps: float) -> BucketModel:
@@ -297,8 +287,8 @@ def build_bucket_model(phi: PairWeightFn, dist, p: float, eps: float) -> BucketM
         raise ValueError(
             f"p*(1+eps)^3/(1-2*eps) = {factor:.6g} >= 1: the branching model would not be sub-critical"
         )
-    for x in np.linspace(0.0, 1.0, 21):
-        m = phi_mean_in_y(phi, dist, float(x))
+    xs = np.linspace(0.0, 1.0, 21)
+    for x, m in zip(xs, phi_mean_in_y(phi, dist, xs)):
         if abs(m - 1.0) > 1e-6:
             raise ValueError(
                 f"phi is not normalized: E_y[phi({x:.2f}, y)] = {m:.8f}; apply normalize_phi first"
@@ -315,7 +305,7 @@ def build_bucket_model(phi: PairWeightFn, dist, p: float, eps: float) -> BucketM
     cdf_vals = np.asarray(distributions.cdf(dist, boundaries), dtype=float)
     pi = np.diff(cdf_vals)
 
-    phi_prime = _bucket_sup_table(phi, boundaries, B)
+    phi_prime = _bucket_sup_table(phi, boundaries)
     row_means = phi_prime @ pi
     phi_tilde = phi_prime * (1.0 + eps) / row_means[:, None]
 

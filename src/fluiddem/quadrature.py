@@ -1,9 +1,19 @@
-"""Adaptive Simpson quadrature for bounded, piecewise-smooth integrands on [0, 1]."""
+"""Quadrature for bounded, piecewise-smooth integrands on [0, 1].
+
+`integrate` applies Gauss–Legendre rules with N and 2N nodes (Golub & Welsch,
+Math. Comp. 1969) to every piece between breakpoints in one call of the
+integrand; a piece where the two disagree by more than its share of the
+tolerance falls back to adaptive Simpson, the tests' reference rule.
+"""
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import Callable, Iterable
+
+import numpy as np
+
+NODES = 16
 
 
 def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
@@ -32,16 +42,49 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     return _adapt(f, a, fa, b, fb, m, fm, whole, tol, 48)
 
 
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss–Legendre rule on [-1, 1], read-only.
+
+    Newton steps on the three-term recurrence of P_n from Tricomi's starting
+    values; weights proportional to 1 / ((1 - x^2) P_n'(x)^2), made exactly
+    symmetric about 0 and summing to 2.
+    """
+    x, step = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5)), 0.0
+    for _ in range(10):
+        x = x - step
+        p_prev, p = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / slope
+    w = 1.0 / ((1.0 - x * x) * slope * slope)
+    nodes, weights = 0.5 * (x - x[::-1]), 2.0 * (w + w[::-1]) / (w + w[::-1]).sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    breakpoints: Iterable[float] = (),
-) -> float:
-    """Integrate f over [a, b], splitting at interior breakpoints (kinks)."""
+    f: Callable, a: float, b: float, tol: float = 1e-10, breakpoints: Iterable[float] = ()
+):
+    """Integrate f over [a, b], splitting at interior breakpoints (kinks, jumps).
+
+    f maps a 1-d array of points to values of shape (..., points); the result
+    has shape (...), a float for a scalar integrand. Only the adaptive
+    fallback evaluates f at a piece's ends.
+    """
     if b <= a:
         return 0.0
-    pts = sorted({float(a), float(b), *(float(x) for x in breakpoints if a < x < b)})
-    per_piece = tol / max(len(pts) - 1, 1)
-    return math.fsum(adaptive_simpson(f, lo, hi, per_piece) for lo, hi in zip(pts, pts[1:]))
+    pts = np.array(sorted({float(a), float(b), *(float(x) for x in breakpoints if a < x < b)}))
+    half = 0.5 * np.diff(pts)[:, None]
+    (xc, wc), (xf, wf) = gauss_legendre(NODES), gauss_legendre(2 * NODES)
+    ys = (pts[:-1, None] + half) + half * np.concatenate([xc, xf])
+    vals = np.asarray(f(ys.ravel()), dtype=float)
+    shape = vals.shape[:-1]
+    vals = vals.reshape(-1, *ys.shape) * half
+    est = vals[..., NODES:] @ wf
+    per_piece = tol / len(half)
+    for i, j in zip(*np.nonzero(np.abs(vals[..., :NODES] @ wc - est) > per_piece)):
+        entry = lambda t: float(np.asarray(f(np.array([t])), dtype=float).reshape(-1)[i])  # noqa: E731
+        est[i, j] = adaptive_simpson(entry, pts[j], pts[j + 1], per_piece)
+    return est.sum(axis=1).reshape(shape) if shape else float(est.sum())

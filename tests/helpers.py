@@ -1,12 +1,23 @@
 """Shared statistical helpers for the test suite."""
 
 import csv
+import math
 
 import numpy as np
 from scipy import stats as sps
 
+from fluiddem import distributions
 from fluiddem.delegation_graph import NO_EDGE
-from fluiddem.mechanisms import RowNormalizedPhi, phi_mean_in_y
+from fluiddem.mechanisms import (
+    AffineInY,
+    Constant1,
+    Indicator,
+    RowNormalizedPhi,
+    phi_mean_in_y,
+    phi_x_knots,
+    phi_y_knots,
+)
+from fluiddem.quadrature import adaptive_simpson
 
 
 def pooled_chisq_pvalue(a, b, min_pooled: int = 20) -> float:
@@ -75,11 +86,31 @@ def sequential_simon_components(n: int, p: float, rng) -> np.ndarray:
     return np.asarray(sizes, dtype=np.int64)
 
 
+def simpson_integrate(f, a, b, tol, breakpoints=()):
+    """Adaptive Simpson on every piece between breakpoints, one scalar call of f
+    per point (oracle for quadrature.integrate)."""
+    pts = sorted({float(a), float(b), *(float(x) for x in breakpoints if a < x < b)})
+    per_piece = tol / max(len(pts) - 1, 1)
+    return math.fsum(adaptive_simpson(f, lo, hi, per_piece) for lo, hi in zip(pts, pts[1:]))
+
+
+def simpson_phi_mean_in_y(phi, dist, x: float) -> float:
+    """E_y[phi(x, y)] for one x: phi_mean_in_y's closed forms, otherwise
+    simpson_integrate at its tolerance (oracle for the Gauss–Legendre path)."""
+    if isinstance(phi, (Constant1, AffineInY, Indicator)):
+        return phi_mean_in_y(phi, dist, x)
+    breaks = {*distributions._breakpoints(dist), *phi_y_knots(phi)}
+    return simpson_integrate(
+        lambda y: float(phi(x, y)) * float(distributions.pdf(dist, y)), 0.0, 1.0, 1e-12, breaks
+    )
+
+
 class QuadratureRowNormalizedPhi(RowNormalizedPhi):
     """RowNormalizedPhi whose divisor is a quadrature at every distinct x (oracle).
 
-    One adaptive quadrature of E_y[base(x, .)] per distinct x, cached per x:
-    the slow reference for the closed-form divisors.
+    One scalar adaptive quadrature of E_y[base(x, .)] per distinct x
+    (simpson_phi_mean_in_y), cached per x: the slow reference for the
+    closed-form divisors, independent of the vectorized phi_mean_in_y.
     """
 
     def _means(self, x):
@@ -87,8 +118,26 @@ class QuadratureRowNormalizedPhi(RowNormalizedPhi):
         uniq, inverse = np.unique(x.ravel(), return_inverse=True)
         for v in uniq.tolist():
             if v not in cache:
-                cache[v] = phi_mean_in_y(self.base, self.dist, v)
+                cache[v] = simpson_phi_mean_in_y(self.base, self.dist, v)
         return np.array([cache[v] for v in uniq.tolist()])[inverse].reshape(x.shape)
+
+
+def grid_bucket_sup_table(phi, boundaries, B):
+    """The bucket sup table on a 34-point x grid per bucket plus the grid lines
+    inside it, one phi call per bucket (oracle for processes._bucket_sup_table)."""
+    uppers = boundaries[1:]
+    if not phi.depends_on_x:
+        row = np.asarray(phi(0.0, uppers), dtype=float)
+        return np.tile(row, (B, 1))
+    extra = phi_x_knots(phi)
+    table = np.empty((B, B))
+    for t in range(B):
+        xs = np.linspace(boundaries[t], boundaries[t + 1], 34)
+        inner = [x for x in extra if boundaries[t] < x < boundaries[t + 1]]
+        if inner:
+            xs = np.concatenate([xs, inner])
+        table[t] = np.asarray(phi(xs[:, None], uppers[None, :]), dtype=float).max(axis=0)
+    return table
 
 
 def row_loop_targets(phi, p_vec, sources, allowed, rng, forbid_self=True):

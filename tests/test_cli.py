@@ -244,17 +244,36 @@ def test_rerun_produces_identical_data(tmp_path):
     assert (out1 / "gain.csv").read_bytes() == (out2 / "gain.csv").read_bytes()
 
 
-# scipy and numpy.ma cost start-up time; only the runs that use them may load them
+# scipy, numpy.ma and numpy.polynomial cost start-up time; only the runs that
+# use them may load them
 IMPORT_PROBE = """
 import json, os, sys
 {prelude}
 import fluiddem.cli
+{run}
 parts = [name.split(".") for name in sys.modules]
 print(json.dumps({{
-    "heavy": sorted(".".join(p) for p in parts if p[0] == "scipy" or p[:2] == ["numpy", "ma"]),
+    "heavy": sorted(
+        ".".join(p) for p in parts if p[0] == "scipy" or p[:2] in (["numpy", "ma"], ["numpy", "polynomial"])
+    ),
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
 }}))
 """
+
+
+def _import_probe(prelude="", run="", preset=None) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(prelude=prelude, run=run)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -267,20 +286,27 @@ print(json.dumps({{
     ],
 )
 def test_cli_import_loads_no_scipy_and_pins_openblas(prelude, preset, expected):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE.format(prelude=prelude)],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    probe = json.loads(done.stdout.splitlines()[-1])
+    probe = _import_probe(prelude=prelude, preset=preset)
     assert probe["heavy"] == []
     assert probe["openblas"] == expected
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        None,
+        # the processes-bucket benchmark workload's phi
+        {"kind": "tabulated", "values": [[1.0, 2.0, 3.0], [1.5, 2.0, 3.0], [2.0, 2.5, 4.0]]},
+    ],
+    ids=["bucket_affine", "tabulated"],
+)
+def test_processes_run_loads_no_scipy_ma_or_polynomial(tmp_path, phi):
+    config = Path(__file__).resolve().parents[1] / "configs" / "bucket_affine.json"
+    if phi is not None:
+        config = Path(write_config(tmp_path, dict(json.loads(config.read_text()), phi=phi)))
+    run = f"fluiddem.cli.main(['processes', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])"
+    assert _import_probe(run=run)["heavy"] == []
+    assert json.loads((tmp_path / "bucket_model.json").read_text())["B"] == 64
 
 
 # a fresh interpreter: the thresholds are process-wide, and the heap must not

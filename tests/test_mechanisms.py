@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import QuadratureRowNormalizedPhi
+from helpers import QuadratureRowNormalizedPhi, simpson_phi_mean_in_y
 
 from fluiddem import (
     AffineInY,
@@ -182,7 +182,7 @@ def _divisor_points(phi, count: int) -> np.ndarray:
 
 def _assert_divisors_match_quadrature(base, dist, xs):
     closed = np.broadcast_to(RowNormalizedPhi(base, dist)._means(xs), xs.shape)
-    oracle = np.array([phi_mean_in_y(base, dist, float(x)) for x in xs])
+    oracle = np.array([simpson_phi_mean_in_y(base, dist, float(x)) for x in xs])
     np.testing.assert_allclose(closed, oracle, rtol=1e-12, atol=0.0)
 
 

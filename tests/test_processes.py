@@ -6,6 +6,7 @@ from helpers import (
     QuadratureRowNormalizedPhi,
     block_row_sums,
     dels_of_root,
+    grid_bucket_sup_table,
     pooled_chisq_pvalue,
     sequential_simon_components,
 )
@@ -18,6 +19,7 @@ from fluiddem import (
     GeneralContinuous,
     PiecewiseLinearDensity,
     TabulatedPhi,
+    TruncatedBeta,
     Uniform,
     normalize_phi,
     sample,
@@ -25,9 +27,10 @@ from fluiddem import (
 )
 from fluiddem.delegation_graph import sample_graph
 from fluiddem.harness import builtin_bucket_configs
-from fluiddem.mechanisms import RowNormalizedPhi
+from fluiddem.mechanisms import RowNormalizedPhi, phi_x_knots
 from fluiddem.processes import (
     BucketModel,
+    _bucket_sup_table,
     _pair_weight_row_sums,
     build_bucket_model,
     expected_w,
@@ -301,6 +304,20 @@ def test_bucket_model_rejects_supercritical_eps():
 def test_bucket_model_rejects_unnormalized_phi():
     with pytest.raises(ValueError, match="normalize"):
         build_bucket_model(AffineInY(1.0, 2.0), Uniform(0.0, 1.0), 0.3, 0.05)
+    for dist in (Uniform(0.1, 0.7), TruncatedBeta(2.0, 3.0)):
+        with pytest.raises(ValueError, match="normalize"):
+            build_bucket_model(BENCH_GRID, dist, 0.3, 0.05)
+
+
+@pytest.mark.parametrize("offset, rejected", [(2e-6, True), (5e-7, False)])
+def test_bucket_model_normalization_tolerance_is_1e_6(offset, rejected):
+    # a flat table takes the quadrature path, and its y-mean is its value
+    phi = TabulatedPhi(((1.0 + offset, 1.0 + offset), (1.0 + offset, 1.0 + offset)))
+    if rejected:
+        with pytest.raises(ValueError, match="normalize"):
+            build_bucket_model(phi, Uniform(0.1, 0.7), 0.3, 0.05)
+    else:
+        assert build_bucket_model(phi, Uniform(0.1, 0.7), 0.3, 0.05).B == 1
 
 
 @pytest.mark.parametrize("idx", range(6))
@@ -353,6 +370,35 @@ def test_bucket_model_matches_quadrature_divisor_oracle(dist):
     for name in ("phi_prime", "phi_tilde", "M"):
         np.testing.assert_allclose(getattr(model, name), getattr(oracle, name), rtol=1e-12, atol=0.0)
     assert model.spectral_radius == pytest.approx(oracle.spectral_radius, rel=1e-12, abs=0.0)
+
+
+BENCH_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
+# 4x3: the grid lines 1/3 and 2/3 fall inside buckets, and phi peaks in x on the first
+PEAKED_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (2.0, 3.0, 5.0), (1.5, 2.0, 2.5), (1.0, 3.0, 4.0)))
+
+
+def _dense_sup_table(phi, boundaries):
+    """Max of phi(x, upper bound of t') over 2,001 x per bucket plus its inner grid lines."""
+    knots = np.asarray(phi_x_knots(phi))
+    rows = []
+    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+        xs = np.concatenate([np.linspace(lo, hi, 2001), knots[(knots > lo) & (knots < hi)]])
+        rows.append(np.asarray(phi(xs[:, None], boundaries[None, 1:]), dtype=float).max(axis=0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [BENCH_GRID, RowNormalizedPhi(BENCH_GRID, Uniform(0.0, 1.0)), PEAKED_GRID],
+    ids=["3x3", "3x3-row-normalized", "4x3"],
+)
+def test_bucket_sup_table_is_the_dense_maximum(phi):
+    boundaries = np.linspace(0.0, 1.0, 65)
+    table = _bucket_sup_table(phi, boundaries)
+    np.testing.assert_allclose(table, _dense_sup_table(phi, boundaries), rtol=1e-12, atol=0.0)
+    # never below the 34-point oracle, up to rounding: an interior point of a
+    # cell can round an ulp or two above the larger of the cell's ends
+    assert np.all(table >= grid_bucket_sup_table(phi, boundaries, 64) * (1.0 - 1e-15))
 
 
 def test_bucket_model_json_fields():

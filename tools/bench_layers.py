@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_11.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_12.json
 
 Every layer runs 3 times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
@@ -27,6 +27,14 @@ O(n^2) layer would run for hours at 1e6.
 The `import` layer is the start-up of the CLI: the median over IMPORT_RUNS
 fresh interpreters of the time to `import fluiddem.cli` (the same fluiddem,
 found through PYTHONPATH), and the number of modules that import loads.
+
+Layers that do not grow with n (`fixed_ms`) are timed RUNS times at their one
+size: `build_bucket_model` of the row-normalized 3x3 tabulated phi, with p =
+0.3 and eps = 0.05 as in the processes-bucket workload, under three laws (a
+fresh phi per run, so its row means are computed inside the timed call), and
+`phi_mean_in_y` of that phi over the 21 x of the model's normalization check.
+A fluiddem whose `phi_mean_in_y` takes one float x at a time is timed on the
+same 21 x, one call each.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from pathlib import Path
 # fluiddem before numpy, so that the layers run with the BLAS thread count the CLI gets
 import fluiddem  # isort: skip
 import numpy as np
-from fluiddem import cli, distributions, processes, tally
+from fluiddem import cli, distributions, mechanisms, processes, tally
 from fluiddem.delegation_graph import compute_weights, sample_instance, to_edge_csv
 from fluiddem.harness import run_six_step_sampler
 from fluiddem.mechanisms import (
@@ -55,6 +63,7 @@ from fluiddem.mechanisms import (
     LinearQ,
     TabulatedPhi,
     Upward,
+    normalize_phi,
 )
 from fluiddem.streams import substream
 
@@ -149,6 +158,48 @@ LAYERS = {
 }
 
 
+def _bucket_model(dist):
+    def prepare():
+        phi = normalize_phi(TABULATED_PHI, dist)
+        return lambda: processes.build_bucket_model(phi, dist, 0.3, 0.05)
+
+    return prepare
+
+
+def _normalization_check():
+    phi = normalize_phi(TABULATED_PHI, UNIT)
+    xs = np.linspace(0.0, 1.0, 21)
+    try:
+        mechanisms.phi_mean_in_y(phi, UNIT, xs)
+    except TypeError:  # phi_mean_in_y takes one float x
+        return lambda: [mechanisms.phi_mean_in_y(phi, UNIT, float(x)) for x in xs]
+    return lambda: mechanisms.phi_mean_in_y(phi, UNIT, xs)
+
+
+# layer name -> prepare() returning the call to time, for layers without a size
+FIXED_LAYERS = {
+    "build_bucket_model, 3x3 tabulated phi, Uniform(0, 1)": _bucket_model(UNIT),
+    "build_bucket_model, 3x3 tabulated phi, Uniform(0.1, 0.7)": _bucket_model(
+        distributions.Uniform(0.1, 0.7)
+    ),
+    "build_bucket_model, 3x3 tabulated phi, TruncatedBeta(2, 3)": _bucket_model(
+        distributions.TruncatedBeta(2.0, 3.0)
+    ),
+    "phi_mean_in_y, normalized 3x3 tabulated phi, 21 x": _normalization_check,
+}
+
+
+def time_fixed_layer(prepare) -> float:
+    """Median milliseconds of RUNS calls."""
+    times = []
+    for _ in range(RUNS):
+        call = prepare()
+        start = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - start))
+    return statistics.median(times)
+
+
 def time_layer(prepare, n: int, size_idx: int) -> float:
     """Median milliseconds of RUNS fixed-seed calls at size n."""
     times = []
@@ -241,10 +292,15 @@ def main(argv=None) -> int:
             last = (n, ms)
             print(f"{name} n={n}: {ms:.1f} ms", file=sys.stderr, flush=True)
         layers[name] = row
+    fixed = {}
+    for name, prepare in FIXED_LAYERS.items():
+        fixed[name] = round(time_fixed_layer(prepare), 3)
+        print(f"{name}: {fixed[name]:.1f} ms", file=sys.stderr, flush=True)
     doc.setdefault("runs", {})[args.label] = {
         "environment": environment(),
         "import": imported,
         "median_ms": layers,
+        "fixed_ms": fixed,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
