@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 import os
 import sys
 
-# Replicates already run on fluiddem's own thread pool (--threads); a BLAS
-# pool nested under it only oversubscribes the cores, and OpenBLAS workers
+# Replicates already run on fluiddem's own workers (--threads); a BLAS
+# pool nested under them only oversubscribes the cores, and OpenBLAS workers
 # spin for a while after every threaded call. OpenBLAS reads the variable
 # once, when numpy loads, so it is set only if numpy is not loaded yet; a
 # value the user sets wins. Child processes inherit it.

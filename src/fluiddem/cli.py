@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker pool size for replications (default: machine parallelism)",
+            help="most replicate workers: forked processes pinned one per CPU, capped at the "
+            "CPUs this process may use; small runs use one (default: the CPU count)",
         )
     return parser
 

@@ -209,9 +209,10 @@ def _breakpoints(dist: DistributionSpec):
     return ()
 
 
-def expectation(dist: DistributionSpec, g: Callable, tol: float = 1e-10) -> float:
-    """E[g(p)] by quadrature, splitting at density and g kinks; g maps arrays to arrays."""
-    breaks = {*_breakpoints(dist), *getattr(g, "breakpoints", lambda: ())()}
+def expectation(dist: DistributionSpec, g: Callable, tol: float = 1e-10, breakpoints=()) -> float:
+    """E[g(p)] by quadrature, split at the density's kinks and at g's kinks
+    `breakpoints`; g maps arrays to arrays."""
+    breaks = {*_breakpoints(dist), *breakpoints}
     return integrate(lambda x: g(x) * pdf(dist, x), 0.0, 1.0, tol, breaks)
 
 
@@ -223,10 +224,11 @@ def nondelegator_mean(dist: DistributionSpec, q) -> float:
     is strictly decreasing this exceeds mean(dist); the package checks that
     as a test property rather than assuming it.
     """
-    den = expectation(dist, lambda x: 1.0 - q(x), tol=1e-10)
+    kinks = q.breakpoints()
+    den = expectation(dist, lambda x: 1.0 - q(x), tol=1e-10, breakpoints=kinks)
     if den <= 1e-12:
         raise DegenerateMechanismError("everyone delegates: E[1 - q] = 0")
-    num = expectation(dist, lambda x: (1.0 - q(x)) * x, tol=1e-10)
+    num = expectation(dist, lambda x: (1.0 - q(x)) * x, tol=1e-10, breakpoints=kinks)
     return num / den
 
 

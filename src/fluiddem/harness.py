@@ -6,9 +6,11 @@ safe and useful (bounded maximum weight, a linear-in-n competence lift from
 delegation, and separation of the direct and fluid expected tallies around
 n/2), gain distributions, and max-weight scaling. Replications within one
 size run on disjoint random streams keyed by (seed, size index, rep), so
-results are byte-identical for any worker count. Gain rows are tallied
-exactly at every size up to tally.MAX_TOTAL_WEIGHT (the `exact` mode, also
-named `auto`), or by Monte Carlo when a config asks for it.
+results are byte-identical for any worker count. `replicate` runs them on
+forked worker processes, pinned one per CPU of the affinity set, and
+serially for small configs or where the platform cannot fork. Gain rows
+are tallied exactly at every size up to tally.MAX_TOTAL_WEIGHT (the `exact`
+mode, also named `auto`), or by Monte Carlo when a config asks for it.
 
 The six-step sampler draws targets with the direct sampler's grid-row
 mixture kernel (mixture_targets) and mixes per-row sums for its weights.
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import signal
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -271,11 +275,45 @@ def estimate_lift_constant(mech: MechanismSpec, dist) -> tuple[float, float, flo
 # replication plumbing
 
 
+# Below this many voters per worker, summed over every instance of a config,
+# a fork costs more than the share of work it takes over. Forking, pinning
+# and reaping a worker take 2-3 ms (2-vCPU Xeon VM, October 2026); two
+# workers beat one from about 50,000 voters in all on exact gain tallies and
+# tabulated general-continuous sampling, and from 120,000-200,000 on Upward
+# conditions, the cheapest per voter.
+VOTERS_PER_WORKER = 25_000
+
+
+def _cpus() -> list[int]:
+    """The CPUs this process may run on, in order; [] where it cannot pin."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return []
+
+
+def worker_count(cfg: ExperimentConfig, threads: int) -> int:
+    """min(threads, instances, CPUs, total voters // VOTERS_PER_WORKER), at least 1.
+
+    CPUs counts the process's affinity set; without os.fork the answer is 1.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    keys = len(cfg.sizes) * cfg.reps_per_size
+    cpus = len(_cpus()) or os.cpu_count() or 1
+    voters = sum(cfg.sizes) * cfg.reps_per_size
+    return max(1, min(threads, keys, cpus, voters // VOTERS_PER_WORKER))
+
+
 def replicate(cfg: ExperimentConfig, fn, threads: int) -> list[list]:
     """fn(n, rep, rng) for every size n and rep, one list per size in rep order.
 
     rng is substream(cfg.seed, size index, rep), so each result depends only
-    on its own key; one pool of `threads` workers serves every size.
+    on its own key and the output does not depend on the worker count. The
+    (size, rep) keys run on worker_count(cfg, threads) workers: worker w >= 1
+    is a forked process that runs keys[w::workers], the caller runs
+    keys[0::workers], and each is pinned to its own CPU of the affinity set.
+    Small configs and platforms without os.fork run serially in the caller.
     """
     keys = [(n_idx, n, rep) for n_idx, n in enumerate(cfg.sizes) for rep in range(cfg.reps_per_size)]
 
@@ -283,13 +321,78 @@ def replicate(cfg: ExperimentConfig, fn, threads: int) -> list[list]:
         n_idx, n, rep = key
         return fn(n, rep, substream(cfg.seed, n_idx, rep))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(one, keys))
-    else:
-        flat = [one(key) for key in keys]
+    workers = worker_count(cfg, threads)
+    flat = [None] * len(keys)
+    for w, results in enumerate(_forked_map(one, keys, workers)):
+        flat[w::workers] = results
     reps = cfg.reps_per_size
     return [flat[i : i + reps] for i in range(0, len(flat), reps)]
+
+
+def _forked_map(fn, keys: list, workers: int) -> list[list]:
+    """[[fn(k) for k in keys[w::workers]] for w in range(workers)].
+
+    Shares w >= 1 run in forked children, each sending its results (or its
+    exception) back as one pickle through a pipe; share 0 runs here. Where
+    the platform can pin, child w runs on the w-th CPU of the affinity set
+    and this process on the first until the map ends. A worker's exception
+    is raised here with its type and message, and every child is reaped
+    before this returns or raises. Forking is safe because fluiddem starts
+    no threads.
+    """
+    if workers == 1:
+        return [[fn(k) for k in keys]]
+    cpus = _cpus()
+    saved = set(cpus)
+    readers, pids = [], []  # pids holds the children not reaped yet
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as writer:  # the parent's copy closes here
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, keys[w::workers], writer, cpus[w] if cpus else None)
+                pids.append(pid)
+        if cpus:
+            os.sched_setaffinity(0, {cpus[0]})
+        shares = [[fn(k) for k in keys[0::workers]]]
+        for w, (pid, reader) in enumerate(zip(list(pids), readers), start=1):
+            data = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if code != 0:
+                raise RuntimeError(f"replicate worker {w} exited with code {code}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shares.append(value)
+        return shares
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, saved)
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(fn, keys: list, writer, cpu: Optional[int]) -> None:
+    """In a forked child: pickle (True, results) or (False, exception) to writer, then exit."""
+    status = 1
+    try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        try:
+            payload = (True, [fn(k) for k in keys])
+        except Exception as exc:  # noqa: BLE001 - sent to the parent, which raises it
+            payload = (False, exc)
+        pickle.dump(payload, writer, protocol=pickle.HIGHEST_PROTOCOL)
+        writer.close()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def check_command(command: str, cfg: ExperimentConfig) -> None:

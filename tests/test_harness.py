@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from fluiddem import (
     substream,
 )
 from fluiddem import harness
+from fluiddem.cli import main as cli_main
 from fluiddem.delegation_graph import NO_EDGE, sample_instance
 from fluiddem.harness import (
     GAIN_HEADER,
@@ -215,8 +219,10 @@ def test_conditions_upward_desk_scale():
         pytest.param(run_simulate_experiment, {}, id="simulate"),
     ],
 )
-def test_run_deterministic_across_threads(run, overrides):
+def test_run_deterministic_across_threads(run, overrides, four_cpus, monkeypatch):
+    monkeypatch.setattr(harness, "VOTERS_PER_WORKER", 1)  # these small sizes fork too
     cfg = make_config(**{"sizes": (120, 240), "reps_per_size": 16, **overrides})
+    assert harness.worker_count(cfg, 4) == 4
     assert run(cfg, threads=1) == run(cfg, threads=4)
 
 
@@ -227,6 +233,127 @@ def test_replicate_keys_each_stream_by_size_index_and_rep():
         [(n, rep, substream(cfg.seed, n_idx, rep).random()) for rep in range(3)]
         for n_idx, n in enumerate(cfg.sizes)
     ]
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="replicate runs serially")
+# 270,000 voters in all: above the cutoff for 4 workers
+FORKED_SIZES = {"sizes": (30_000, 60_000), "reps_per_size": 3}
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """An affinity set of four CPUs (this process's own, repeated), so four
+    workers fork on any host; afterwards the affinity is back and no child is left."""
+    cpus = harness._cpus()
+    if cpus:
+        monkeypatch.setattr(harness, "_cpus", lambda: (cpus * 4)[:4])
+    yield
+    if cpus:
+        assert sorted(os.sched_getaffinity(0)) == cpus
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def keyed_draw(n, rep, rng):
+    return (n, rep, rng.random(), os.getpid())
+
+
+def test_worker_count_caps(monkeypatch):
+    small = make_config(sizes=(200, 400), reps_per_size=12)  # criterion 12's sizes
+    big = make_config(**FORKED_SIZES)
+    cpus = len(harness._cpus()) or os.cpu_count()
+    assert harness.worker_count(small, 16) == 1
+    assert harness.worker_count(big, 1) == 1
+    assert harness.worker_count(big, 64) == min(6, cpus)
+    monkeypatch.delattr(os, "fork")
+    assert harness.worker_count(big, 64) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("threads", [2, 4])
+def test_forked_workers_match_one_worker(four_cpus, threads):
+    cfg = make_config(**FORKED_SIZES)
+    assert harness.worker_count(cfg, threads) == threads
+    serial = harness.replicate(cfg, keyed_draw, 1)
+    forked = harness.replicate(cfg, keyed_draw, threads)
+    assert len({row[3] for rows in forked for row in rows}) == threads
+    assert [[row[:3] for row in rows] for rows in forked] == [
+        [row[:3] for row in rows] for rows in serial
+    ]
+
+
+@needs_fork
+def test_worker_error_reaches_the_caller(four_cpus):
+    parent = os.getpid()
+
+    def fail_in_worker(n, rep, rng):
+        if os.getpid() != parent:
+            raise ValueError(f"bad instance n={n} rep={rep}")
+        return rep
+
+    # worker 1 of 2 runs keys 1, 3 and 5, the first of which is (30000, rep 1)
+    with pytest.raises(ValueError, match=r"^bad instance n=30000 rep=1$"):
+        harness.replicate(make_config(**FORKED_SIZES), fail_in_worker, 2)
+
+
+@needs_fork
+def test_worker_error_exits_the_cli_with_two(four_cpus, monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+
+    def fail_in_worker(cfg, n, rep, rng):
+        if os.getpid() != parent:
+            raise ValueError(f"bad instance n={n} rep={rep}")
+        return (1, 0.0, 0.0, 0)
+
+    monkeypatch.setattr(harness, "_instance_stats", fail_in_worker)
+    config = {
+        "mechanism": {"kind": "upward", "p": 0.5},
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "sizes": [30_000, 60_000],
+        "reps_per_size": 1,
+        "seed": 3,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["conditions", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "2"]
+    assert cli_main(argv) == 2
+    assert "runtime error: bad instance n=60000 rep=0" in capsys.readouterr().err
+
+
+@needs_fork
+def test_error_in_the_callers_share_kills_the_workers(four_cpus):
+    parent = os.getpid()
+
+    def slow_workers(n, rep, rng):
+        if os.getpid() == parent:
+            raise ValueError("the caller's share failed")
+        time.sleep(60)
+
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="the caller's share failed"):
+        harness.replicate(make_config(**FORKED_SIZES), slow_workers, 4)
+    assert time.monotonic() - started < 30
+
+
+@needs_fork
+def test_failed_fork_reaps_the_workers_already_forked(four_cpus, monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork_twice():
+        if len(forks) == 2:
+            raise OSError("fork refused")
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_twice)
+    with pytest.raises(OSError, match="fork refused"):
+        harness.replicate(make_config(**FORKED_SIZES), keyed_draw, 4)
+    assert len(forks) == 2
 
 
 def test_conditions_frequencies_nondecreasing_in_default_suite():

@@ -3,13 +3,14 @@ import pytest
 from helpers import simpson_integrate, simpson_phi_mean_in_y
 
 from fluiddem import (
+    LinearQ,
     PiecewiseLinearDensity,
     TabulatedPhi,
     TruncatedBeta,
     Uniform,
     quadrature,
 )
-from fluiddem.distributions import _breakpoints, expectation, pdf
+from fluiddem.distributions import _breakpoints, expectation, nondelegator_mean, pdf
 from fluiddem.harness import _phi_y_moment
 from fluiddem.mechanisms import phi_mean_in_y, phi_y_knots
 from fluiddem.quadrature import gauss_legendre, integrate
@@ -76,6 +77,18 @@ def test_expectation_matches_adaptive_simpson(dist, fallbacks):
     breaks = _breakpoints(dist)
     oracle = simpson_integrate(lambda x: np.exp(x) * x * float(pdf(dist, x)), 0, 1, 1e-10, breaks)
     assert got == pytest.approx(oracle, rel=1e-12)
+
+
+def test_nondelegator_mean_splits_at_the_clamp_kinks(fallbacks):
+    # q = clamp(1.5 - 2x, 0, 1) kinks at 0.25 and 0.75; E[(1-q)x] / E[1-q] = 35/48
+    q = LinearQ(1.5, 2.0)
+    got = nondelegator_mean(Uniform(0.0, 1.0), q)
+    assert fallbacks == []
+    kinks = (0.25, 0.75)
+    num = simpson_integrate(lambda x: (1.0 - float(q(x))) * x, 0, 1, 1e-12, kinks)
+    den = simpson_integrate(lambda x: 1.0 - float(q(x)), 0, 1, 1e-12, kinks)
+    assert got == pytest.approx(num / den, rel=1e-12)
+    assert got == pytest.approx(35.0 / 48.0, rel=1e-12)
 
 
 def test_endpoint_singularity_takes_the_adaptive_fallback(fallbacks):

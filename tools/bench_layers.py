@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_12.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_13.json
 
 Every layer runs 3 times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
@@ -28,6 +28,12 @@ The `import` layer is the start-up of the CLI: the median over IMPORT_RUNS
 fresh interpreters of the time to `import fluiddem.cli` (the same fluiddem,
 found through PYTHONPATH), and the number of modules that import loads.
 
+The `replicate` layers time harness.replicate on the conditions-upward
+workload's instances (Upward(0.5) under Uniform(0, 0.98), 2 reps of size n,
+the conditions statistics of each) at a cap of 1 and of 2 workers, so they
+show what a second worker saves at each size, fork included; a config below
+the worker cutoff runs serially at either cap.
+
 Layers that do not grow with n (`fixed_ms`) are timed RUNS times at their one
 size: `build_bucket_model` of the row-normalized 3x3 tabulated phi, with p =
 0.3 and eps = 0.05 as in the processes-bucket workload, under three laws (a
@@ -48,14 +54,15 @@ import subprocess
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 # fluiddem before numpy, so that the layers run with the BLAS thread count the CLI gets
 import fluiddem  # isort: skip
 import numpy as np
-from fluiddem import cli, distributions, mechanisms, processes, tally
+from fluiddem import cli, distributions, harness, mechanisms, processes, tally
 from fluiddem.delegation_graph import compute_weights, sample_instance, to_edge_csv
-from fluiddem.harness import run_six_step_sampler
+from fluiddem.harness import ExperimentConfig, run_six_step_sampler
 from fluiddem.mechanisms import (
     AffineInY,
     ConfidenceBased,
@@ -82,6 +89,7 @@ print(json.dumps({"ms": 1e3 * (time.perf_counter() - start), "modules": len(sys.
 MC_REPS = 738
 
 UNIT = distributions.Uniform(0.0, 1.0)
+NARROWED = distributions.Uniform(0.0, 0.98)  # the conditions-upward workload's law
 UPWARD = Upward(0.5)
 CONFIDENCE = ConfidenceBased(LinearQ(0.8, 0.8))
 AFFINE = GeneralContinuous(0.3, AffineInY(1.0, 2.0))
@@ -138,6 +146,16 @@ def _six_step(mech):
     return lambda n, rng: lambda: run_six_step_sampler(mech, UNIT, n, rng)
 
 
+def _replicate(workers):
+    def prepare(n, rng):
+        cfg = ExperimentConfig(
+            UPWARD, NARROWED, (n,), 2, int(rng.integers(2**31)), delta_exponent=0.95
+        )
+        return lambda: harness.replicate(cfg, partial(harness._instance_stats, cfg), workers)
+
+    return prepare
+
+
 # layer name -> prepare(n, rng) returning the call to time
 LAYERS = {
     "competence draw": lambda n, rng: lambda: distributions.sample(UNIT, rng, size=n),
@@ -155,6 +173,8 @@ LAYERS = {
     "simulate_simon_components": _simon,
     "six-step sampler, affine phi": _six_step(AFFINE),
     "six-step sampler, 3x3 tabulated phi": _six_step(TABULATED),
+    "replicate conditions upward, 2 reps, 1 worker": _replicate(1),
+    "replicate conditions upward, 2 reps, 2 workers": _replicate(2),
 }
 
 
