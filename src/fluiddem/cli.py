@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import hashlib
 import json
 import os
@@ -22,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, distributions, harness, mechanisms, processes
+from . import __version__, distributions, harness, mechanisms
 # unused here, but perfbench/tracer.py wraps them by name on this module
 from .delegation_graph import sample_instance, to_edge_csv  # noqa: F401
 
@@ -106,19 +105,15 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def _bucket_inputs(raw: dict):
+    from . import processes  # only the processes command loads it
+
     for required in ("phi", "distribution", "p", "eps"):
         if required not in raw:
             raise ValueError(f"field '{required}': missing")
-    try:
-        phi = mechanisms.phi_from_config(raw["phi"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"field 'phi': {exc}") from exc
-    try:
-        dist = distributions.from_config(raw["distribution"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"field 'distribution': {exc}") from exc
-    p = float(raw["p"])
-    eps = float(raw["eps"])
+    phi = harness.parse_field("phi", mechanisms.phi_from_config, raw["phi"])
+    dist = harness.parse_field("distribution", distributions.from_config, raw["distribution"])
+    p = harness.parse_field("p", float, raw["p"])
+    eps = harness.parse_field("eps", float, raw["eps"])
     if not 0.0 < p < 1.0:
         raise ValueError("field 'p': must be in (0, 1)")
     if eps <= 0.0:
@@ -168,9 +163,9 @@ def main(argv=None) -> int:
         else:
             cfg = harness.config_from_dict(raw_config)
             if args.seed is not None:
-                cfg = dataclasses.replace(cfg, seed=int(args.seed))
+                cfg = cfg.replace(seed=int(args.seed))
             if args.sizes is not None:
-                cfg = dataclasses.replace(cfg, sizes=_parse_sizes(args.sizes))
+                cfg = cfg.replace(sizes=_parse_sizes(args.sizes))
             harness.check_command(command, cfg)
         if args.threads < 1:
             raise ValueError(f"field 'threads': must be >= 1, got {args.threads}")
@@ -186,6 +181,8 @@ def main(argv=None) -> int:
     threads = args.threads
     try:
         if command == "processes":
+            from . import processes
+
             phi, dist, p, eps = bucket_inputs
             model = processes.build_bucket_model(phi, dist, p, eps)
             _progress(f"bucket model built: B={model.B} spectral_radius={model.spectral_radius:.6g}")

@@ -18,7 +18,6 @@ in O(rows * n + m log n) for m delegators.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,12 +31,12 @@ from .mechanisms import (
     row_mixture,
     sampling_equivalent,
 )
+from .record import Record
 
 NO_EDGE = -1
 
 
-@dataclass(frozen=True, eq=False)
-class DelegationGraph:
+class DelegationGraph(Record, eq=False):
     n: int
     out: np.ndarray  # int64; out[i] = target voter, or NO_EDGE for a direct voter
 
@@ -55,8 +54,7 @@ class DelegationGraph:
             raise ValueError("out-edges must point at voters")
 
 
-@dataclass(frozen=True, eq=False)
-class WeightProfile:
+class WeightProfile(Record, eq=False):
     """Transitive delegation tallies for one graph.
 
     weight[i] = 1 + dels[i] for a non-delegating, non-nullified voter and 0
@@ -68,8 +66,8 @@ class WeightProfile:
     nullified: np.ndarray  # sorted voter indices
     max_weight: int
     total_weight: int
-    out: np.ndarray = field(repr=False)
-    root: np.ndarray = field(repr=False)
+    out: np.ndarray
+    root: np.ndarray
 
     @cached_property
     def dels(self) -> np.ndarray:

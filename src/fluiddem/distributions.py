@@ -12,20 +12,19 @@ scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .quadrature import integrate
+from .record import Record
 
 
 class DegenerateMechanismError(ValueError):
     """Raised when a query conditions on an event of probability zero."""
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(Record):
     lo: float
     hi: float
 
@@ -34,8 +33,7 @@ class Uniform:
             raise ValueError(f"Uniform requires 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
 
 
-@dataclass(frozen=True)
-class TruncatedBeta:
+class TruncatedBeta(Record):
     a: float
     b: float
 
@@ -44,8 +42,7 @@ class TruncatedBeta:
             raise ValueError(f"TruncatedBeta requires a, b > 0, got ({self.a}, {self.b})")
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearDensity:
+class PiecewiseLinearDensity(Record):
     """Density linear between (x, density) knots; renormalized on construction.
 
     Knot positions must be strictly increasing inside [0, 1]; the density is

@@ -24,7 +24,6 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional, Union
@@ -51,6 +50,7 @@ from .mechanisms import (
     sampling_equivalent,
 )
 from .quadrature import integrate
+from .record import Record
 from .streams import substream
 from .tally import MAX_TOTAL_WEIGHT, exact_gain, hoeffding_halfwidth, monte_carlo_gain
 
@@ -59,13 +59,11 @@ from .tally import MAX_TOTAL_WEIGHT, exact_gain, hoeffding_halfwidth, monte_carl
 # configuration
 
 
-@dataclass(frozen=True)
-class ExactGainMode:
+class ExactGainMode(Record):
     """Exact product-tree tallies (`tally.exact_gain`) at every size."""
 
 
-@dataclass(frozen=True)
-class MonteCarloGainMode:
+class MonteCarloGainMode(Record):
     reps: int
     delta: float
 
@@ -85,8 +83,7 @@ def default_delta_exponent(p: float) -> float:
     return 0.5 * (lower + 1.0)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     mechanism: MechanismSpec
     distribution: DistributionSpec
     sizes: tuple[int, ...]
@@ -95,7 +92,7 @@ class ExperimentConfig:
     delta_exponent: Optional[float] = None  # C(n) = n**delta_exponent (Upward)
     log_coefficient: Optional[float] = None  # C(n) = coeff * ln n (other mechanisms)
     alpha: Optional[float] = None  # lift constant; default from estimate_lift_constant
-    gain_mode: GainMode = field(default_factory=ExactGainMode)
+    gain_mode: GainMode = ExactGainMode()
     ci_delta: float = 0.01  # confidence parameter for reported Hoeffding half-widths
     eps: float = 0.05  # slack parameter for the six-step diagnostics
 
@@ -134,6 +131,19 @@ class ExperimentConfig:
         return coeff * math.log(n)
 
 
+def parse_field(name: str, convert, value):
+    """convert(value), naming the config field if it raises ValueError, KeyError or TypeError."""
+    try:
+        return convert(value)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"field '{name}': {exc}") from exc
+
+
+def _optional_float(obj: dict, name: str) -> Optional[float]:
+    value = obj.get(name)
+    return None if value is None else parse_field(name, float, value)
+
+
 def config_from_dict(obj: dict) -> ExperimentConfig:
     """Parse an experiment config document, naming the offending field on error."""
     from . import mechanisms as mechs_mod
@@ -150,31 +160,24 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     if kind in ("exact", "auto"):
         gain_mode: GainMode = ExactGainMode()
     elif kind == "monte_carlo":
-        gain_mode = MonteCarloGainMode(int(gm_obj["reps"]), float(gm_obj["delta"]))
+        gain_mode = MonteCarloGainMode(
+            parse_field("gain_mode.reps", int, gm_obj.get("reps")),
+            parse_field("gain_mode.delta", float, gm_obj.get("delta")),
+        )
     else:
         raise ValueError("field 'gain_mode.kind': must be 'exact', 'monte_carlo' or 'auto'")
-    try:
-        mechanism = mechs_mod.from_config(obj["mechanism"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"field 'mechanism': {exc}") from exc
-    try:
-        distribution = distributions.from_config(obj["distribution"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"field 'distribution': {exc}") from exc
     return ExperimentConfig(
-        mechanism=mechanism,
-        distribution=distribution,
-        sizes=tuple(int(n) for n in obj["sizes"]),
-        reps_per_size=int(obj["reps_per_size"]),
-        seed=int(obj["seed"]),
-        delta_exponent=None if obj.get("delta_exponent") is None else float(obj["delta_exponent"]),
-        log_coefficient=None
-        if obj.get("log_coefficient") is None
-        else float(obj["log_coefficient"]),
-        alpha=None if obj.get("alpha") is None else float(obj["alpha"]),
+        mechanism=parse_field("mechanism", mechs_mod.from_config, obj["mechanism"]),
+        distribution=parse_field("distribution", distributions.from_config, obj["distribution"]),
+        sizes=parse_field("sizes", lambda sizes: tuple(int(n) for n in sizes), obj["sizes"]),
+        reps_per_size=parse_field("reps_per_size", int, obj["reps_per_size"]),
+        seed=parse_field("seed", int, obj["seed"]),
+        delta_exponent=_optional_float(obj, "delta_exponent"),
+        log_coefficient=_optional_float(obj, "log_coefficient"),
+        alpha=_optional_float(obj, "alpha"),
         gain_mode=gain_mode,
-        ci_delta=float(obj.get("ci_delta", 0.01)),
-        eps=float(obj.get("eps", 0.05)),
+        ci_delta=parse_field("ci_delta", float, obj.get("ci_delta", 0.01)),
+        eps=parse_field("eps", float, obj.get("eps", 0.05)),
     )
 
 
@@ -437,8 +440,7 @@ def write_csv(path, header: list[str], rows: list[tuple]) -> None:
 # condition experiment
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(Record):
     n: int
     reps: int
     freq1: float
@@ -452,15 +454,14 @@ class ConditionRow:
     mean_nullified: float
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     rows: tuple[ConditionRow, ...]
     alpha: float
     delta_exponent: Optional[float]
     log_coefficient: Optional[float]
 
     def to_csv(self, path) -> None:
-        write_csv(path, [f.name for f in fields(ConditionRow)], [astuple(r) for r in self.rows])
+        write_csv(path, ConditionRow._fields, [r._values() for r in self.rows])
 
 
 def _instance_stats(cfg: ExperimentConfig, n: int, rep: int, rng) -> tuple:
@@ -592,8 +593,7 @@ def run_scaling_study(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
 # six-step decomposition of the general-continuous sampler
 
 
-@dataclass(frozen=True)
-class SixStepDiagnostics:
+class SixStepDiagnostics(Record):
     """Per-step event indicators and the measured quantities behind them.
 
     Step 4 has no failure event and is reported as always holding. All

@@ -16,13 +16,13 @@ proportionally. Three families are built in:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from . import distributions
 from .quadrature import integrate
+from .record import Record
 
 
 class NotStrictlyPositiveError(ValueError):
@@ -33,8 +33,7 @@ class NotStrictlyPositiveError(ValueError):
 # delegation probability functions
 
 
-@dataclass(frozen=True)
-class ConstantQ:
+class ConstantQ(Record):
     p: float
 
     def __post_init__(self):
@@ -51,8 +50,7 @@ class ConstantQ:
         return ()
 
 
-@dataclass(frozen=True)
-class LinearQ:
+class LinearQ(Record):
     """q(x) = clamp(a - b*x, 0, 1)."""
 
     a: float
@@ -71,8 +69,7 @@ class LinearQ:
         return tuple(t for t in ((self.a - 1.0) / self.b, self.a / self.b) if 0.0 < t < 1.0)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearQ:
+class PiecewiseLinearQ(Record):
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
@@ -105,8 +102,7 @@ DelegationProbabilityFn = Union[ConstantQ, LinearQ, PiecewiseLinearQ]
 # pairwise weight functions
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(Record):
     """phi(x, y) = 1 if y > x else 0."""
 
     def __call__(self, x, y):
@@ -116,8 +112,7 @@ class Indicator:
     depends_on_x = True
 
 
-@dataclass(frozen=True)
-class Constant1:
+class Constant1(Record):
     def __call__(self, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return np.ones_like(y)
@@ -125,8 +120,7 @@ class Constant1:
     depends_on_x = False
 
 
-@dataclass(frozen=True)
-class AffineInY:
+class AffineInY(Record):
     """phi(x, y) = c0 + c1*y with c0 > 0, c1 > 0."""
 
     c0: float
@@ -143,8 +137,7 @@ class AffineInY:
     depends_on_x = False
 
 
-@dataclass(frozen=True)
-class ExpInY:
+class ExpInY(Record):
     """phi(x, y) = scale * exp(lam * y) with lam > 0, scale > 0."""
 
     lam: float
@@ -161,8 +154,7 @@ class ExpInY:
     depends_on_x = False
 
 
-@dataclass(frozen=True)
-class TabulatedPhi:
+class TabulatedPhi(Record):
     """Bilinear interpolation of positive values on a uniform grid over [0, 1]^2.
 
     values[i][j] is the weight at (x_i, y_j) with x_i = i/(nx-1) and
@@ -215,8 +207,7 @@ def _grid_cell(grid: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return i, np.clip((v - grid[i]) / (grid[i + 1] - grid[i]), 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class RowNormalizedPhi:
+class RowNormalizedPhi(Record, eq=False):
     """base(x, y) / E_y[base(x, .)] under dist: exact unit y-mean for every x.
 
     Used to normalize x-dependent weight functions; the per-x divisor keeps
@@ -267,8 +258,7 @@ def sampling_equivalent(phi: "PairWeightFn") -> "PairWeightFn":
     return phi.base if isinstance(phi, RowNormalizedPhi) else phi
 
 
-@dataclass(frozen=True, eq=False)
-class RowMixture:
+class RowMixture(Record, eq=False):
     """phi(x_i, .) = (1 - t_i)*row(k_i) + t_i*row(k_i + 1) for a vector of x_i.
 
     Bilinear interpolation is linear in x between grid rows; an x-independent
@@ -320,8 +310,7 @@ def phi_y_knots(phi) -> tuple[float, ...]:
 # mechanisms
 
 
-@dataclass(frozen=True)
-class Upward:
+class Upward(Record):
     p: float
 
     def __post_init__(self):
@@ -329,8 +318,7 @@ class Upward:
             raise ValueError(f"Upward requires p in (0, 1), got {self.p}")
 
 
-@dataclass(frozen=True)
-class ConfidenceBased:
+class ConfidenceBased(Record):
     q: DelegationProbabilityFn
 
     def __post_init__(self):
@@ -338,8 +326,7 @@ class ConfidenceBased:
             raise ValueError("ConfidenceBased requires a monotonically decreasing q")
 
 
-@dataclass(frozen=True)
-class GeneralContinuous:
+class GeneralContinuous(Record):
     p: float
     phi: PairWeightFn
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .mechanisms import (
     row_mixture,
     sampling_equivalent,
 )
+from .record import Record
 
 MAX_BUCKETS = 2048
 
@@ -203,8 +203,7 @@ def simulate_delegation_branching(
 # bucketized multi-type Poisson branching
 
 
-@dataclass(frozen=True, eq=False)
-class BucketModel:
+class BucketModel(Record, eq=False):
     """Finite-type model of a pairwise weight function under a distribution.
 
     [0, 1] is split into B equal competence buckets with masses pi. phi_prime

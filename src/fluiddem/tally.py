@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .delegation_graph import DelegationGraph, compute_weights
+from .record import Record
 
 MAX_TOTAL_WEIGHT = 10_000_000
 BRUTE_FORCE_MAX_N = 20
@@ -50,8 +50,7 @@ BLOCK = 32  # leaves per block of the direct levels
 EPS = 1e-30  # mass a window may leave out
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(Record):
     """P[fluid correct] - P[direct correct] for one instance."""
 
     p_direct: float

@@ -130,6 +130,36 @@ def test_nonpositive_threads_exits_one(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+MONTE_CARLO = {"kind": "monte_carlo", "reps": 100, "delta": 0.1}
+MALFORMED_SCALARS = [
+    ("gain", {"seed": None}, "seed"),
+    ("gain", {"reps_per_size": None}, "reps_per_size"),
+    ("gain", {"sizes": None}, "sizes"),
+    ("gain", {"sizes": [100, "a"]}, "sizes"),
+    ("gain", {"delta_exponent": "x"}, "delta_exponent"),
+    ("gain", {"log_coefficient": [1.0]}, "log_coefficient"),
+    ("gain", {"alpha": "x"}, "alpha"),
+    ("gain", {"ci_delta": "x"}, "ci_delta"),
+    ("gain", {"eps": None}, "eps"),
+    ("gain", {"gain_mode": {**MONTE_CARLO, "reps": None}}, "gain_mode.reps"),
+    ("gain", {"gain_mode": {**MONTE_CARLO, "delta": "x"}}, "gain_mode.delta"),
+    ("processes", {**BUCKET_CONFIG, "p": None}, "p"),
+    ("processes", {**BUCKET_CONFIG, "eps": "x"}, "eps"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, change, field", MALFORMED_SCALARS, ids=[f"{c}-{f}" for c, _, f in MALFORMED_SCALARS]
+)
+def test_malformed_scalar_field_exits_one_naming_it(tmp_path, capsys, command, change, field):
+    base = BUCKET_CONFIG if command == "processes" else GAIN_CONFIG
+    cfg = write_config(tmp_path, {**base, **change})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: field '{field}': " in err
+    assert "Traceback" not in err
+
+
 def test_conditions_and_scaling_commands(tmp_path):
     cfg = write_config(tmp_path, {**GAIN_CONFIG, "alpha": 0.01})
     out1 = tmp_path / "cond"
@@ -257,6 +287,7 @@ print(json.dumps({{
         ".".join(p) for p in parts if p[0] == "scipy" or p[:2] in (["numpy", "ma"], ["numpy", "polynomial"])
     ),
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "startup": [m for m in ("dataclasses", "fluiddem.processes") if m in sys.modules],
 }}))
 """
 
@@ -289,6 +320,13 @@ def test_cli_import_loads_no_scipy_and_pins_openblas(prelude, preset, expected):
     probe = _import_probe(prelude=prelude, preset=preset)
     assert probe["heavy"] == []
     assert probe["openblas"] == expected
+
+
+def test_start_up_loads_no_dataclasses_or_processes():
+    # records build no code per class; only the processes command loads processes
+    assert _import_probe(prelude="import fluiddem.harness")["startup"] == []
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert [p.name for p in src.rglob("*.py") if "@dataclass" in p.read_text()] == []
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,13 @@ size, scaled by the square of the size ratio, exceeds SKIP_ABOVE_S: an
 O(n^2) layer would run for hours at 1e6.
 
 The `import` layer is the start-up of the CLI: the median over IMPORT_RUNS
-fresh interpreters of the time to `import fluiddem.cli` (the same fluiddem,
-found through PYTHONPATH), and the number of modules that import loads.
+fresh interpreters, run with `-X importtime`, of the time to `import
+fluiddem.cli` (the same fluiddem, found through PYTHONPATH), of the number of
+modules that import loads, and of fluiddem's own share (the summed
+`-X importtime` self times of the fluiddem modules). It also records the
+probes' `sys.flags.dont_write_bytecode`: when set (PYTHONDONTWRITEBYTECODE),
+no `__pycache__` is written, so every probe compiles fluiddem's sources and
+their own time includes that compilation.
 
 The `replicate` layers time harness.replicate on the conditions-upward
 workload's instances (Upward(0.5) under Uniform(0, 0.98), 2 reps of size n,
@@ -83,7 +88,11 @@ IMPORT_PROBE = """
 import json, sys, time
 before, start = len(sys.modules), time.perf_counter()
 import fluiddem.cli
-print(json.dumps({"ms": 1e3 * (time.perf_counter() - start), "modules": len(sys.modules) - before}))
+print(json.dumps({
+    "ms": 1e3 * (time.perf_counter() - start),
+    "modules": len(sys.modules) - before,
+    "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+}))
 """
 # Hoeffding reps for half-width 0.05 at confidence 0.95, the values in gain-auto's config
 MC_REPS = 738
@@ -231,18 +240,36 @@ def time_layer(prepare, n: int, size_idx: int) -> float:
     return statistics.median(times)
 
 
+def fluiddem_self_ms(importtime: str) -> float:
+    """Summed self milliseconds of the fluiddem modules in `-X importtime` output."""
+    total_us = 0
+    for line in importtime.splitlines():
+        if not line.startswith("import time:"):
+            continue
+        self_us, _, name = line[len("import time:") :].split("|")
+        if name.strip().split(".")[0] == "fluiddem":
+            total_us += int(self_us)
+    return total_us / 1e3
+
+
 def time_import() -> dict:
-    """Median milliseconds and module count of `import fluiddem.cli` in fresh interpreters."""
+    """Medians of the time, module count and fluiddem's own time of `import fluiddem.cli`."""
     env = dict(os.environ, PYTHONPATH=str(Path(fluiddem.__file__).resolve().parents[1]))
     probes = []
     for _ in range(IMPORT_RUNS):
         done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-X", "importtime", "-c", IMPORT_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
         )
-        probes.append(json.loads(done.stdout))
+        probes.append(dict(json.loads(done.stdout), self_ms=fluiddem_self_ms(done.stderr)))
     return {
         "median_ms": round(statistics.median(p["ms"] for p in probes), 3),
         "modules": statistics.median(p["modules"] for p in probes),
+        "fluiddem_self_ms": round(statistics.median(p["self_ms"] for p in probes), 3),
+        "dont_write_bytecode": probes[0]["dont_write_bytecode"],
     }
 
 
@@ -298,7 +325,12 @@ def main(argv=None) -> int:
         "unit": "ms",
     }
     imported = time_import()
-    print(f"import: {imported['median_ms']:.1f} ms, {imported['modules']} modules", file=sys.stderr)
+    print(
+        f"import: {imported['median_ms']:.1f} ms, {imported['modules']} modules, "
+        f"fluiddem's own {imported['fluiddem_self_ms']:.1f} ms, "
+        f"dont_write_bytecode={imported['dont_write_bytecode']}",
+        file=sys.stderr,
+    )
     cli._keep_freed_heap()
     layers = {}
     for name, prepare in LAYERS.items():
