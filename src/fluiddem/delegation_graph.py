@@ -6,9 +6,9 @@ Votes flow transitively toward non-delegating voters; voters sitting on a
 delegation cycle, or delegating into one, are nullified and contribute no
 weight (the worst-case treatment of cycles).
 
-One pointer-doubling kernel, forest_roots, finds where every walk ends: the
-nullified voters are those whose walk ends on a delegating voter, and the
-weights are a bincount of the other walks' ends.
+One pointer-doubling kernel, forest_roots, finds where every walk ends and
+which walks never settle: those are the nullified voters, their walks end on
+delegating voters, and the weights are a bincount of the other walks' ends.
 
 One kernel, mixture_targets, draws every general-continuous target: each
 delegator's law mixes two grid rows of phi, sampled exactly by composition
@@ -59,7 +59,7 @@ class WeightProfile(Record, eq=False):
 
     weight[i] = 1 + dels[i] for a non-delegating, non-nullified voter and 0
     otherwise; nullified lists voters on cycles or delegating into them.
-    out and root (= forest_roots(out)) are kept for dels, built on first use.
+    out and root (= forest_roots(out)[0]) are kept for dels, built on first use.
     """
 
     weight: np.ndarray
@@ -85,7 +85,8 @@ class WeightProfile(Record, eq=False):
             parents = out[frontier]
             np.add.at(cnt, parents, cnt[frontier])
             np.subtract.at(remaining, parents, 1)
-            parents = np.unique(parents)
+            parents.sort()  # deduplicated without np.unique, which imports numpy.ma
+            parents = parents[np.concatenate(([True], parents[1:] != parents[:-1]))]
             frontier = parents[(remaining[parents] == 0) & (out[parents] >= 0)]
         return np.where(active, cnt - 1, 0)
 
@@ -99,36 +100,42 @@ def stats(profile: WeightProfile) -> tuple[int, int, int]:
 # weight computation
 
 
-def forest_roots(out: np.ndarray) -> np.ndarray:
-    """Where each voter's delegation walk ends, by pointer doubling.
+def forest_roots(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each voter's delegation walk ends, by pointer doubling, and the
+    sorted voters whose walks never settle.
 
     Direct voters (out < 0) point at themselves. Each round squares the
     pointers, root = root[root], of the walks that have not yet reached a
     direct voter (the others are fixed points), for at most
     (n-1).bit_length() rounds, enough for a walk of n-1 edges. A walk that
     ends at a direct voter returns that voter; a walk into a cycle never
-    settles and returns a voter that still delegates.
+    settles and returns a voter that still delegates. The walks still live
+    after the last round are exactly those, so the second return equals
+    np.flatnonzero(out[root] >= 0).
     """
     n = out.shape[0]
-    root = np.where(out < 0, np.arange(n), out)
-    live = np.flatnonzero(out[root] >= 0)
+    delegators = np.flatnonzero(out >= 0)
+    root = np.arange(n)
+    root[delegators] = out[delegators]
+    live = delegators[out[root[delegators]] >= 0]
     for _ in range((n - 1).bit_length()):
         if not live.size:
             break
         root[live] = root[root[live]]
         live = live[out[root[live]] >= 0]
-    return root
+    return root, live
 
 
 def compute_weights(graph: DelegationGraph) -> WeightProfile:
     """Weights and the nullified set for one graph (dels on first access)."""
     out = graph.out
-    root = forest_roots(out)
-    nullified = out[root] >= 0
-    weight = np.bincount(root[~nullified], minlength=graph.n)
+    root, nullified = forest_roots(out)
+    weight = np.bincount(root, minlength=graph.n)
+    # a nullified walk ends on a delegating voter, whose weight is 0
+    weight[root[nullified]] = 0
     return WeightProfile(
         weight=weight,
-        nullified=np.flatnonzero(nullified),
+        nullified=nullified,
         max_weight=int(weight.max(initial=0)),
         total_weight=int(weight.sum()),
         out=out,
@@ -198,23 +205,46 @@ def _count_greater(p_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stable descending order of p_vec, and per voter the number of
     voters with strictly greater p.
 
-    numpy's default sort is several times faster than its stable one but
-    leaves ties in no set order; a lexsort of the tied positions alone puts
-    each tie group back in voter order, so the upward sampler's targets do
-    not depend on which sort numpy picks. In that order a voter's count is
-    the position where its tie group starts; it is scattered back to voter
-    order.
+    One integer sort: each float's bits become a uint64 whose ascending order
+    is descending float order (-0.0 is first made +0.0), and its low
+    b = (n-1).bit_length() bits are replaced by the voter index, so the
+    sorted keys carry the order in their low bits and break equal high bits
+    by voter. Voters whose keys agree above the low bits form runs; only
+    there can the dropped bits misorder p or hide an exact tie, so each run
+    alone is re-sorted by (-p, voter) and its counts set to the position
+    where each tie group starts. The keys are built in place: temporaries
+    of n words each would show in the CLI's peak memory.
     """
     n = p_vec.shape[0]
-    order = np.argsort(-p_vec)
-    desc = p_vec[order]
-    first = np.concatenate(([True], desc[1:] != desc[:-1]))
-    if not first.all():
-        group = np.cumsum(first)
-        tied = np.flatnonzero(~first | np.append(~first[1:], False))
-        order[tied] = order[tied[np.lexsort((order[tied], group[tied]))]]
+    bits = (n - 1).bit_length()
+    low = np.uint64((1 << bits) - 1)
+    key = (p_vec + 0.0).view(np.uint64)
+    flip = key >> np.uint64(63)
+    flip -= np.uint64(1)
+    flip >>= np.uint64(1)  # 0 for a negative float, else every bit but the sign
+    key ^= flip
+    key &= ~low
+    position = np.arange(n)
+    key |= position.view(np.uint64)
+    key.sort()
+    high = np.right_shift(key, np.uint64(bits), out=flip)
+    key &= low
+    order = key.view(np.int64)
     greater = np.empty(n, dtype=np.int64)
-    greater[order] = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    greater[order] = position
+    same = high[1:] == high[:-1]
+    if same.any():
+        in_run = np.zeros(n, dtype=bool)
+        in_run[1:] = same
+        in_run[:-1] |= same
+        tied = np.flatnonzero(in_run)
+        voters = order[tied]  # ascending within each run: lexsort keeps exact ties so
+        value = p_vec[voters]
+        voters = voters[np.lexsort((-value, high[tied]))]
+        order[tied] = voters
+        value = p_vec[voters]
+        first = np.concatenate(([True], value[1:] != value[:-1]))
+        greater[voters] = np.maximum.accumulate(np.where(first, tied, 0))
     return order, greater
 
 
@@ -236,9 +266,10 @@ def sample_graph(mech: MechanismSpec, competencies, rng: np.random.Generator) ->
         # uniform target among strictly more competent voters; the most
         # competent voter places zero weight everywhere and votes directly
         desc_order, greater = _count_greater(p_vec)
-        delegators = np.where((u_delegate < mech.p) & (greater > 0))[0]
-        ranks = np.floor(rng.random(delegators.size) * greater[delegators]).astype(np.int64)
-        ranks = np.minimum(ranks, greater[delegators] - 1)
+        delegators = np.flatnonzero((u_delegate < mech.p) & (greater > 0))
+        above = greater[delegators]
+        ranks = (rng.random(delegators.size) * above).astype(np.int64)  # truncation is floor: >= 0
+        np.minimum(ranks, above - 1, out=ranks)
         out[delegators] = desc_order[ranks]
         return DelegationGraph(n, out)
 

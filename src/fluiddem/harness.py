@@ -132,11 +132,26 @@ class ExperimentConfig(Record):
 
 
 def parse_field(name: str, convert, value):
-    """convert(value), naming the config field if it raises ValueError, KeyError or TypeError."""
+    """convert(value), naming the config field if it raises ValueError, KeyError,
+    TypeError or OverflowError (int of an infinite float)."""
     try:
         return convert(value)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"field '{name}': {exc}") from exc
+
+
+def _integer(value) -> int:
+    """value as an int; a float must be integral (1e4 is 10000, 2.5 is an error)."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _sizes(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list of sizes, not {value!r}")
+    return tuple(_integer(n) for n in value)
 
 
 def _optional_float(obj: dict, name: str) -> Optional[float]:
@@ -161,7 +176,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         gain_mode: GainMode = ExactGainMode()
     elif kind == "monte_carlo":
         gain_mode = MonteCarloGainMode(
-            parse_field("gain_mode.reps", int, gm_obj.get("reps")),
+            parse_field("gain_mode.reps", _integer, gm_obj.get("reps")),
             parse_field("gain_mode.delta", float, gm_obj.get("delta")),
         )
     else:
@@ -169,9 +184,9 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(
         mechanism=parse_field("mechanism", mechs_mod.from_config, obj["mechanism"]),
         distribution=parse_field("distribution", distributions.from_config, obj["distribution"]),
-        sizes=parse_field("sizes", lambda sizes: tuple(int(n) for n in sizes), obj["sizes"]),
-        reps_per_size=parse_field("reps_per_size", int, obj["reps_per_size"]),
-        seed=parse_field("seed", int, obj["seed"]),
+        sizes=parse_field("sizes", _sizes, obj["sizes"]),
+        reps_per_size=parse_field("reps_per_size", _integer, obj["reps_per_size"]),
+        seed=parse_field("seed", _integer, obj["seed"]),
         delta_exponent=_optional_float(obj, "delta_exponent"),
         log_coefficient=_optional_float(obj, "log_coefficient"),
         alpha=_optional_float(obj, "alpha"),

@@ -61,7 +61,7 @@ def simulate_simon_components(n: int, p: float, rng: np.random.Generator) -> np.
     parent = (u_pick * np.arange(n)).astype(np.int64)
     parent[u_join >= p] = NO_EDGE
     parent[0] = NO_EDGE
-    return np.bincount(forest_roots(parent), minlength=n)[parent < 0]
+    return np.bincount(forest_roots(parent)[0], minlength=n)[parent < 0]
 
 
 def simulate_w_process(n: int, k: int, p: float, rng: np.random.Generator) -> int:

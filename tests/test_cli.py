@@ -347,6 +347,58 @@ def test_processes_run_loads_no_scipy_ma_or_polynomial(tmp_path, phi):
     assert json.loads((tmp_path / "bucket_model.json").read_text())["B"] == 64
 
 
+def test_graph_commands_load_no_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma on first use, ~12 ms of a fresh run
+    upward = {**GAIN_CONFIG, "mechanism": {"kind": "upward", "p": 0.5}, "delta_exponent": 0.95}
+    general = {**GAIN_CONFIG, "mechanism": {"kind": "general", "p": 0.3, "phi": {"kind": "constant1"}}}
+    runs = [
+        ("simulate", GAIN_CONFIG),
+        ("gain", GAIN_CONFIG),
+        ("conditions", upward),
+        ("sixstep", {**general, "sizes": [400], "reps_per_size": 3}),
+    ]
+    calls = [
+        f"fluiddem.cli.main([{cmd!r}, '--config', {write_config(tmp_path, cfg, cmd + '.json')!r},"
+        f" '--out', {str(tmp_path / cmd)!r}])"
+        for cmd, cfg in runs
+    ]
+    # and the tie path of the upward rank order, which small random inputs rarely reach
+    calls.append("fluiddem.delegation_graph._count_greater(__import__('numpy').repeat([0.5, 0.25], 9))")
+    probe = _import_probe(run="; ".join(calls))
+    assert not any(name.startswith("numpy.ma") for name in probe["heavy"])
+    for cmd, _ in runs:
+        assert (tmp_path / cmd / "manifest.json").exists(), cmd
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"sizes": "19"}, "sizes"),
+        ({"sizes": 100}, "sizes"),
+        ({"sizes": [100.7, 200.2]}, "sizes"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "11"}, "seed"),
+        ({"reps_per_size": 2.9}, "reps_per_size"),
+        ({"gain_mode": {"kind": "monte_carlo", "reps": 100.5, "delta": 0.1}}, "gain_mode.reps"),
+    ],
+    ids=["sizes-string", "sizes-scalar", "sizes-fraction", "seed-fraction", "seed-string",
+         "reps_per_size-fraction", "gain_mode.reps-fraction"],
+)
+def test_non_integral_config_field_exits_one_naming_it(tmp_path, capsys, change, field):
+    cfg = write_config(tmp_path, {**GAIN_CONFIG, **change})
+    assert main(["gain", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: field '{field}': " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_integral_float_config_fields_parse():
+    cfg = config_from_dict({**GAIN_CONFIG, "sizes": [1e2, 240.0], "seed": 11.0, "reps_per_size": 6e0})
+    assert cfg.sizes == (100, 240) and cfg.seed == 11 and cfg.reps_per_size == 6
+    assert all(type(v) is int for v in (*cfg.sizes, cfg.seed, cfg.reps_per_size))
+
+
 # a fresh interpreter: the thresholds are process-wide, and the heap must not
 # be one that earlier tests have warmed
 HEAP_PROBE = """

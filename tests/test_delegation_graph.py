@@ -167,7 +167,9 @@ def test_forest_roots_match_full_doubling_with_cycles():
             chained[chain[-1]] = chain[-3]
         for out in (random_out, chained):
             out[out == np.arange(n)] = NO_EDGE
-            assert np.array_equal(forest_roots(out), full_doubling_roots(out)), n
+            root, unsettled = forest_roots(out)
+            assert np.array_equal(root, full_doubling_roots(out)), n
+            assert np.array_equal(unsettled, np.flatnonzero(out[root] >= 0)), n
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,6 +267,45 @@ def test_count_greater_matches_stable_sort_at_scale():
         ref_order, ref_count = stable_count_greater(p_vec)
         assert np.array_equal(order, ref_order), name
         assert np.array_equal(count, ref_count), name
+
+
+def _nextafter_chain(start, length):
+    """start and the length - 1 floats above it, each one ulp from the last."""
+    chain = [start]
+    for _ in range(length - 1):
+        chain.append(np.nextafter(chain[-1], np.inf))
+    return np.array(chain)
+
+
+def _bit_level_vectors():
+    rng = substream(62)
+    chain = _nextafter_chain(0.3, 64)  # differ only in bits below the sort's low bits
+    return {
+        "signed": rng.standard_normal(5000),
+        "signed, mixed -0.0 and 0.0": rng.choice([-1.5, -0.0, 0.0, 0.25, -2.0**-1074], size=5000),
+        "one-ulp chain": rng.permutation(np.tile(chain, 40)),
+        "one-ulp chain, negative": -rng.permutation(np.tile(chain, 40)),
+        # runs of equal high bits, each holding several exact-tie groups,
+        # next to the tie groups of other runs
+        "tie groups across run boundaries": rng.choice(
+            np.concatenate((chain[::7], _nextafter_chain(0.7, 3), [0.5, 0.9])), size=3000
+        ),
+        "subnormals": rng.choice(
+            [0.0, 2.0**-1074, 2.0**-1073, 3 * 2.0**-1074, 2.0**-1030, 2.0**-1022, -2.0**-1074],
+            size=4000,
+        ),
+        "subnormal chain": rng.permutation(_nextafter_chain(0.0, 600)),
+        **{f"n = {n}": rng.random(n) for n in (1, 2, 3, 1024, 1025, 2**16, 2**16 + 1)},
+        "n = 2^k + 1, two levels": rng.choice([0.25, 0.75], size=2**12 + 1),
+    }
+
+
+@pytest.mark.parametrize("name, p_vec", list(_bit_level_vectors().items()))
+def test_count_greater_matches_stable_sort_at_the_bit_level(name, p_vec):
+    order, count = _count_greater(p_vec)
+    ref_order, ref_count = stable_count_greater(p_vec)
+    assert np.array_equal(order, ref_order)
+    assert np.array_equal(count, ref_count)
 
 
 def test_confidence_based_targets_uniform():

@@ -2,19 +2,21 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_13.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_15.json
 
-Every layer runs 3 times per size on fixed seeds (substream(SEED, size
+Every layer runs RUNS times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
-median wall time of the timed call is recorded in milliseconds. Inputs a
-layer only consumes (a graph for compute_weights, competencies for
-direct_tail, a confidence graph and its weights for the fluid tail and the
-Monte Carlo tally, a confidence graph for to_edge_csv) are built outside
-the timed call; to_edge_csv writes to os.devnull, so its time is the
-formatting and one write call, not the disk. The layers run with
-the glibc malloc thresholds that `fluiddem` CLI runs fix
-(`cli._keep_freed_heap`), so the tally layers fault in no more pages than
-they do under the CLI.
+median wall time of the timed call is recorded in milliseconds (`median_ms`),
+and beside it the lower and upper quartiles of the same calls (`p25_ms`,
+`p75_ms`), so that a change between two runs can be read against each run's
+own spread. Inputs a layer only consumes (a graph for compute_weights,
+competencies for direct_tail and for the upward rank order `_count_greater`,
+a confidence graph and its weights for the fluid tail and the Monte Carlo
+tally, a confidence graph for to_edge_csv) are built outside the timed call;
+to_edge_csv writes to os.devnull, so its time is the formatting and one
+write call, not the disk. The layers run with the glibc malloc thresholds
+that `fluiddem` CLI runs fix (`cli._keep_freed_heap`), so the tally layers
+fault in no more pages than they do under the CLI.
 
 The output file keeps one entry per --label, so the same script run with
 PYTHONPATH pointing at another checkout's src adds that checkout's numbers
@@ -39,11 +41,12 @@ the conditions statistics of each) at a cap of 1 and of 2 workers, so they
 show what a second worker saves at each size, fork included; a config below
 the worker cutoff runs serially at either cap.
 
-Layers that do not grow with n (`fixed_ms`) are timed RUNS times at their one
-size: `build_bucket_model` of the row-normalized 3x3 tabulated phi, with p =
-0.3 and eps = 0.05 as in the processes-bucket workload, under three laws (a
-fresh phi per run, so its row means are computed inside the timed call), and
-`phi_mean_in_y` of that phi over the 21 x of the model's normalization check.
+Layers that do not grow with n (`fixed_ms`, quartiles in `fixed_p25_ms` and
+`fixed_p75_ms`) are timed RUNS times at their one size: `build_bucket_model`
+of the row-normalized 3x3 tabulated phi, with p = 0.3 and eps = 0.05 as in
+the processes-bucket workload, under three laws (a fresh phi per run, so its
+row means are computed inside the timed call), and `phi_mean_in_y` of that
+phi over the 21 x of the model's normalization check.
 A fluiddem whose `phi_mean_in_y` takes one float x at a time is timed on the
 same 21 x, one call each.
 """
@@ -65,7 +68,7 @@ from pathlib import Path
 # fluiddem before numpy, so that the layers run with the BLAS thread count the CLI gets
 import fluiddem  # isort: skip
 import numpy as np
-from fluiddem import cli, distributions, harness, mechanisms, processes, tally
+from fluiddem import cli, delegation_graph, distributions, harness, mechanisms, processes, tally
 from fluiddem.delegation_graph import compute_weights, sample_instance, to_edge_csv
 from fluiddem.harness import ExperimentConfig, run_six_step_sampler
 from fluiddem.mechanisms import (
@@ -80,7 +83,7 @@ from fluiddem.mechanisms import (
 from fluiddem.streams import substream
 
 SIZES = (10_000, 100_000, 1_000_000)
-RUNS = 3
+RUNS = 7
 SEED = 2024
 SKIP_ABOVE_S = 20.0
 IMPORT_RUNS = 5
@@ -117,6 +120,11 @@ def _weights(mech):
         return lambda: compute_weights(graph)
 
     return prepare
+
+
+def _count_greater(n, rng):
+    p_vec = distributions.sample(UNIT, rng, size=n)
+    return lambda: delegation_graph._count_greater(p_vec)
 
 
 def _direct_tail(n, rng):
@@ -168,6 +176,7 @@ def _replicate(workers):
 # layer name -> prepare(n, rng) returning the call to time
 LAYERS = {
     "competence draw": lambda n, rng: lambda: distributions.sample(UNIT, rng, size=n),
+    "_count_greater": _count_greater,
     "sample_instance upward": _instance(UPWARD),
     "sample_instance confidence": _instance(CONFIDENCE),
     "sample_instance general, affine phi": _instance(AFFINE),
@@ -218,26 +227,32 @@ FIXED_LAYERS = {
 }
 
 
-def time_fixed_layer(prepare) -> float:
-    """Median milliseconds of RUNS calls."""
+def quartiles(times) -> tuple[float, float, float]:
+    """(p25, median, p75) of the timings, in milliseconds rounded to 1 µs."""
+    p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
+    return round(p25, 3), round(median, 3), round(p75, 3)
+
+
+def time_fixed_layer(prepare) -> tuple[float, float, float]:
+    """Quartiles of RUNS calls, in milliseconds."""
     times = []
     for _ in range(RUNS):
         call = prepare()
         start = time.perf_counter()
         call()
         times.append(1e3 * (time.perf_counter() - start))
-    return statistics.median(times)
+    return quartiles(times)
 
 
-def time_layer(prepare, n: int, size_idx: int) -> float:
-    """Median milliseconds of RUNS fixed-seed calls at size n."""
+def time_layer(prepare, n: int, size_idx: int) -> tuple[float, float, float]:
+    """Quartiles of RUNS fixed-seed calls at size n, in milliseconds."""
     times = []
     for run in range(RUNS):
         call = prepare(n, substream(SEED, size_idx, run))
         start = time.perf_counter()
         call()
         times.append(1e3 * (time.perf_counter() - start))
-    return statistics.median(times)
+    return quartiles(times)
 
 
 def fluiddem_self_ms(importtime: str) -> float:
@@ -332,27 +347,33 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     cli._keep_freed_heap()
-    layers = {}
+    stats = {"p25_ms": {}, "median_ms": {}, "p75_ms": {}}
     for name, prepare in LAYERS.items():
-        row, last = {}, None
+        rows, last = [{}, {}, {}], None
         for size_idx, n in enumerate(SIZES):
             if last is not None and last[1] / 1e3 * (n / last[0]) ** 2 > SKIP_ABOVE_S:
-                row[str(n)] = None
+                for row in rows:
+                    row[str(n)] = None
                 continue
-            ms = time_layer(prepare, n, size_idx)
-            row[str(n)] = round(ms, 3)
-            last = (n, ms)
-            print(f"{name} n={n}: {ms:.1f} ms", file=sys.stderr, flush=True)
-        layers[name] = row
-    fixed = {}
+            timed = time_layer(prepare, n, size_idx)
+            for row, ms in zip(rows, timed):
+                row[str(n)] = ms
+            last = (n, timed[1])
+            print(f"{name} n={n}: {timed[1]:.1f} [{timed[0]:.1f}, {timed[2]:.1f}] ms",
+                  file=sys.stderr, flush=True)
+        for key, row in zip(stats, rows):
+            stats[key][name] = row
+    fixed = {"fixed_p25_ms": {}, "fixed_ms": {}, "fixed_p75_ms": {}}
     for name, prepare in FIXED_LAYERS.items():
-        fixed[name] = round(time_fixed_layer(prepare), 3)
-        print(f"{name}: {fixed[name]:.1f} ms", file=sys.stderr, flush=True)
+        timed = time_fixed_layer(prepare)
+        for key, ms in zip(fixed, timed):
+            fixed[key][name] = ms
+        print(f"{name}: {timed[1]:.1f} [{timed[0]:.1f}, {timed[2]:.1f}] ms", file=sys.stderr, flush=True)
     doc.setdefault("runs", {})[args.label] = {
         "environment": environment(),
         "import": imported,
-        "median_ms": layers,
-        "fixed_ms": fixed,
+        **stats,
+        **fixed,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
