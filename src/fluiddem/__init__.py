@@ -47,7 +47,7 @@ from .mechanisms import (
     normalize_phi,
     phi_bounds,
 )
-from .delegation_graph import DelegationGraph, WeightProfile, sample_graph, compute_weights, stats
+from .delegation_graph import DelegationGraph, WeightProfile, sample_graph, compute_weights
 from .tally import (
     GainReport,
     weighted_poisson_binomial_tail,

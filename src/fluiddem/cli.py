@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import hashlib
 import json
 import os
@@ -150,6 +151,22 @@ def _progress(message: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    What is alive when the run starts (modules, classes, numpy's tables)
+    outlives it, so it is frozen meanwhile: a collection during the run then
+    scans only the run's own objects. Unfrozen, whether a collection over the
+    import's 5,000 young objects fell inside the run depended on how many
+    objects the import had made; one that did cost 1.2 ms of a 10 ms run.
+    """
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     started = time.monotonic()

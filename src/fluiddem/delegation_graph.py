@@ -17,7 +17,6 @@ in O(rows * n + m log n) for m delegators.
 
 from __future__ import annotations
 
-import csv
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +33,7 @@ from .mechanisms import (
 from .record import Record
 
 NO_EDGE = -1
+_NOT_SIGN = np.uint64((1 << 63) - 1)  # every bit of a float64 but its sign
 
 
 class DelegationGraph(Record, eq=False):
@@ -91,11 +91,6 @@ class WeightProfile(Record, eq=False):
         return np.where(active, cnt - 1, 0)
 
 
-def stats(profile: WeightProfile) -> tuple[int, int, int]:
-    """(max_weight, total_weight, nullified_count)."""
-    return profile.max_weight, profile.total_weight, int(len(profile.nullified))
-
-
 # ---------------------------------------------------------------------------
 # weight computation
 
@@ -114,15 +109,16 @@ def forest_roots(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.flatnonzero(out[root] >= 0).
     """
     n = out.shape[0]
-    delegators = np.flatnonzero(out >= 0)
+    delegating = out >= 0  # liveness gathers read bytes, not the n-word out
+    live = np.flatnonzero(delegating)
     root = np.arange(n)
-    root[delegators] = out[delegators]
-    live = delegators[out[root[delegators]] >= 0]
+    root[live] = hop = out[live]
+    live = live[delegating[hop]]
     for _ in range((n - 1).bit_length()):
         if not live.size:
             break
-        root[live] = root[root[live]]
-        live = live[out[root[live]] >= 0]
+        root[live] = hop = root[root[live]]  # also read for the liveness test
+        live = live[delegating[hop]]
     return root, live
 
 
@@ -212,35 +208,38 @@ def _count_greater(p_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by voter. Voters whose keys agree above the low bits form runs; only
     there can the dropped bits misorder p or hide an exact tie, so each run
     alone is re-sorted by (-p, voter) and its counts set to the position
-    where each tie group starts. The keys are built in place: temporaries
-    of n words each would show in the CLI's peak memory.
+    where each tie group starts. At most three n-word arrays are alive at
+    once (the keys, the voter indices and the counts, which first hold the
+    high bits): each more would show in the CLI's peak memory.
     """
     n = p_vec.shape[0]
     bits = (n - 1).bit_length()
     low = np.uint64((1 << bits) - 1)
     key = (p_vec + 0.0).view(np.uint64)
-    flip = key >> np.uint64(63)
-    flip -= np.uint64(1)
-    flip >>= np.uint64(1)  # 0 for a negative float, else every bit but the sign
-    key ^= flip
+    key ^= _NOT_SIGN  # descending order of the non-negative floats; a negative
+    key[key > _NOT_SIGN] ^= _NOT_SIGN  # float's own bits already ascend as it descends
     key &= ~low
     position = np.arange(n)
     key |= position.view(np.uint64)
     key.sort()
-    high = np.right_shift(key, np.uint64(bits), out=flip)
-    key &= low
-    order = key.view(np.int64)
     greater = np.empty(n, dtype=np.int64)
-    greater[order] = position
+    high = np.right_shift(key, np.uint64(bits), out=greater.view(np.uint64))
     same = high[1:] == high[:-1]
+    tied = None
     if same.any():
         in_run = np.zeros(n, dtype=bool)
         in_run[1:] = same
         in_run[:-1] |= same
         tied = np.flatnonzero(in_run)
+        run = high[tied]
+    key &= low
+    order = key.view(np.int64)
+    greater[order] = position
+    del position
+    if tied is not None:
         voters = order[tied]  # ascending within each run: lexsort keeps exact ties so
         value = p_vec[voters]
-        voters = voters[np.lexsort((-value, high[tied]))]
+        voters = voters[np.lexsort((-value, run))]
         order[tied] = voters
         value = p_vec[voters]
         first = np.concatenate(([True], value[1:] != value[:-1]))
@@ -259,20 +258,30 @@ def sample_graph(mech: MechanismSpec, competencies, rng: np.random.Generator) ->
     n = p_vec.shape[0]
     if n < 1:
         raise ValueError("need at least one voter")
-    out = np.full(n, NO_EDGE, dtype=np.int64)
-    u_delegate = rng.random(n)
 
     if isinstance(mech, Upward):
         # uniform target among strictly more competent voters; the most
-        # competent voter places zero weight everywhere and votes directly
+        # competent voter places zero weight everywhere and votes directly.
+        # Each n-word array is dropped after its last read, so that at most
+        # three are alive beside p_vec.
+        wants = rng.random(n) < mech.p
         desc_order, greater = _count_greater(p_vec)
-        delegators = np.flatnonzero((u_delegate < mech.p) & (greater > 0))
+        delegators = np.flatnonzero(wants & (greater > 0))
         above = greater[delegators]
-        ranks = (rng.random(delegators.size) * above).astype(np.int64)  # truncation is floor: >= 0
-        np.minimum(ranks, above - 1, out=ranks)
-        out[delegators] = desc_order[ranks]
+        del wants, greater
+        ranks = rng.random(delegators.size)
+        ranks *= above
+        ranks = ranks.astype(np.int64)  # truncation is floor: >= 0
+        above -= 1
+        np.minimum(ranks, above, out=ranks)
+        targets = desc_order[ranks]
+        del desc_order, ranks, above
+        out = np.full(n, NO_EDGE, dtype=np.int64)
+        out[delegators] = targets
         return DelegationGraph(n, out)
 
+    out = np.full(n, NO_EDGE, dtype=np.int64)
+    u_delegate = rng.random(n)
     if isinstance(mech, ConfidenceBased):
         if n == 1:
             return DelegationGraph(n, out)
@@ -305,13 +314,6 @@ def sample_instance(mech, dist, n: int, rng: np.random.Generator):
     return p_vec, graph
 
 
-def component_sizes(profile: WeightProfile) -> np.ndarray:
-    """Sizes of delegation components of an acyclic graph (weights of roots)."""
-    if len(profile.nullified):
-        raise ValueError("component sizes are defined here for acyclic graphs only")
-    return np.sort(profile.weight[profile.weight > 0])
-
-
 # ---------------------------------------------------------------------------
 # export
 
@@ -323,20 +325,6 @@ def to_edge_csv(graph: DelegationGraph, path) -> None:
         fh.write("voter,target\r\n" + "".join(rows))
 
 
-def from_edge_csv(path) -> DelegationGraph:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["voter", "target"]:
-            raise ValueError("expected 'voter,target' header")
-        for voter, target in reader:
-            rows.append((int(voter), NO_EDGE if target == "" else int(target)))
-    rows.sort()
-    out = np.array([t for _, t in rows], dtype=np.int64)
-    return DelegationGraph(len(rows), out)
-
-
 __all__ = [
     "DelegationGraph",
     "WeightProfile",
@@ -345,9 +333,6 @@ __all__ = [
     "compute_weights",
     "forest_roots",
     "mixture_targets",
-    "stats",
-    "component_sizes",
     "to_edge_csv",
-    "from_edge_csv",
     "NO_EDGE",
 ]

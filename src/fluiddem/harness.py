@@ -295,10 +295,11 @@ def estimate_lift_constant(mech: MechanismSpec, dist) -> tuple[float, float, flo
 
 # Below this many voters per worker, summed over every instance of a config,
 # a fork costs more than the share of work it takes over. Forking, pinning
-# and reaping a worker take 2-3 ms (2-vCPU Xeon VM, October 2026); two
-# workers beat one from about 50,000 voters in all on exact gain tallies and
-# tabulated general-continuous sampling, and from 120,000-200,000 on Upward
-# conditions, the cheapest per voter.
+# and reaping a worker take 2-3 ms, and the worker then faults its heap in
+# afresh: its first Upward instance takes 2.3-2.5 ms at 1e4 voters and
+# 19-21 ms at 2e5, its second 0.8 and 12 ms (2-vCPU Xeon VM, October 2026).
+# Two workers beat one from about 50,000 voters in all on exact gain tallies
+# and tabulated sampling, and from 400,000-1,000,000 on Upward conditions.
 VOTERS_PER_WORKER = 25_000
 
 
@@ -483,13 +484,26 @@ def _instance_stats(cfg: ExperimentConfig, n: int, rep: int, rng) -> tuple:
     p_vec, graph = sample_instance(cfg.mechanism, cfg.distribution, n, rng)
     profile = compute_weights(graph)
     comp_sum = float(p_vec.sum())
-    weighted_sum = float(np.dot(profile.weight, p_vec))
+    # no n-word float copy of the weights, and no BLAS, whose thread count moves the last digits
+    weighted_sum = float(np.einsum("i,i->", profile.weight, p_vec))
     return (
         profile.max_weight,
         weighted_sum - comp_sum,
         comp_sum,
         len(profile.nullified),
     )
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    """np.percentile(values, q) without its import of numpy.ma: the point at
+    (n - 1) * q / 100 between order statistics a and b, interpolated as numpy's
+    linear method does (from b downward once t >= 0.5)."""
+    ordered = np.sort(values)
+    position = (ordered.size - 1) * (q / 100)
+    below = math.floor(position)
+    a, b = ordered[below], ordered[min(below + 1, ordered.size - 1)]
+    t = position - below
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
 def _resolve_alpha(cfg: ExperimentConfig) -> float:
@@ -517,7 +531,7 @@ def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> Conditi
     for n, stats in zip(cfg.sizes, per_size):
         max_ws, lifts, comp_sums, nullified = (np.array(col, dtype=float) for col in zip(*stats))
         if fitted is None and not isinstance(cfg.mechanism, Upward):
-            fitted = float(np.percentile(max_ws / math.log(n), 99.9))
+            fitted = _percentile(max_ws / math.log(n), 99.9)
         bound = cfg.max_weight_bound(n, fitted)
         half = n / 2.0
         cond1 = max_ws <= bound
@@ -599,7 +613,7 @@ def run_scaling_study(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
     rows = []
     for n, stats in zip(cfg.sizes, replicate(cfg, partial(_instance_stats, cfg), threads)):
         max_ws, _, _, nullified = (np.array(col, dtype=float) for col in zip(*stats))
-        p99 = float(np.percentile(max_ws, 99))
+        p99 = _percentile(max_ws, 99)
         rows.append((n, p99, p99 / math.log(n), float((nullified / n).mean())))
     return rows
 

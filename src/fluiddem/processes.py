@@ -141,14 +141,6 @@ def simulate_graph_branching(n: int, p_prime: float, rng: np.random.Generator) -
     return dead
 
 
-def simulate_graph_branching_batch(
-    n: int, p_prime: float, reps: int, rng: np.random.Generator
-) -> np.ndarray:
-    return np.asarray(
-        [simulate_graph_branching(n, p_prime, rng) for _ in range(reps)], dtype=np.int64
-    )
-
-
 def _pair_weight_row_sums(mech: MechanismSpec, p_vec: np.ndarray) -> np.ndarray:
     """S[k] = sum over k' != k of phi(p_k, p_k')."""
     n = p_vec.shape[0]
@@ -369,12 +361,3 @@ def simulate_multitype_poisson(
         live += children
         total += int(children.sum())
     return min(total, cap)
-
-
-def simulate_multitype_sizes(
-    model: BucketModel, start_type: int, cap: int, reps: int, rng: np.random.Generator
-) -> np.ndarray:
-    return np.asarray(
-        [simulate_multitype_poisson(model, start_type, cap, rng) for _ in range(reps)],
-        dtype=np.int64,
-    )

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import stats as sps
 
 from fluiddem import distributions
-from fluiddem.delegation_graph import NO_EDGE
+from fluiddem.delegation_graph import NO_EDGE, DelegationGraph
 from fluiddem.mechanisms import (
     AffineInY,
     Constant1,
@@ -17,6 +17,7 @@ from fluiddem.mechanisms import (
     phi_x_knots,
     phi_y_knots,
 )
+from fluiddem.processes import simulate_graph_branching, simulate_multitype_poisson
 from fluiddem.quadrature import adaptive_simpson
 
 
@@ -205,3 +206,45 @@ def csv_writer_edges(graph, path) -> None:
         writer.writerow(["voter", "target"])
         for i, t in enumerate(graph.out.tolist()):
             writer.writerow([i, "" if t < 0 else t])
+
+
+def stats(profile) -> tuple[int, int, int]:
+    """(max_weight, total_weight, nullified_count) of a weight profile."""
+    return profile.max_weight, profile.total_weight, int(len(profile.nullified))
+
+
+def component_sizes(profile) -> np.ndarray:
+    """Sizes of delegation components of an acyclic graph (weights of roots)."""
+    if len(profile.nullified):
+        raise ValueError("component sizes are defined here for acyclic graphs only")
+    return np.sort(profile.weight[profile.weight > 0])
+
+
+def from_edge_csv(path) -> DelegationGraph:
+    """The graph of a `voter,target` edge list, rows in any order (reader for to_edge_csv)."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header[:2] != ["voter", "target"]:
+            raise ValueError("expected 'voter,target' header")
+        for voter, target in reader:
+            rows.append((int(voter), NO_EDGE if target == "" else int(target)))
+    rows.sort()
+    out = np.array([t for _, t in rows], dtype=np.int64)
+    return DelegationGraph(len(rows), out)
+
+
+def simulate_graph_branching_batch(n, p_prime, reps, rng) -> np.ndarray:
+    """Total progeny of `reps` graph-branching runs, one after another."""
+    return np.asarray(
+        [simulate_graph_branching(n, p_prime, rng) for _ in range(reps)], dtype=np.int64
+    )
+
+
+def simulate_multitype_sizes(model, start_type, cap, reps, rng) -> np.ndarray:
+    """Total sizes of `reps` multi-type Poisson branching runs, one after another."""
+    return np.asarray(
+        [simulate_multitype_poisson(model, start_type, cap, rng) for _ in range(reps)],
+        dtype=np.int64,
+    )

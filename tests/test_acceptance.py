@@ -9,7 +9,7 @@ import time
 from statistics import NormalDist
 
 import numpy as np
-from helpers import pooled_chisq_pvalue
+from helpers import component_sizes, pooled_chisq_pvalue
 from test_delegation_graph import naive_profile, random_functional_graphs
 
 from fluiddem import (
@@ -26,7 +26,7 @@ from fluiddem import (
     weighted_poisson_binomial_tail,
 )
 from fluiddem.cli import main as cli_main
-from fluiddem.delegation_graph import component_sizes, sample_graph, sample_instance
+from fluiddem.delegation_graph import sample_graph, sample_instance
 from fluiddem.distributions import expectation, mean
 from fluiddem.harness import (
     ExactGainMode,

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -368,6 +369,66 @@ def test_graph_commands_load_no_numpy_ma(tmp_path):
     assert not any(name.startswith("numpy.ma") for name in probe["heavy"])
     for cmd, _ in runs:
         assert (tmp_path / cmd / "manifest.json").exists(), cmd
+
+
+def test_run_freezes_the_heap_only_while_it_runs(tmp_path, monkeypatch):
+    frozen = []
+    run = harness.run_simulate_experiment
+
+    def counting_run(*args, **kwargs):
+        frozen.append(gc.get_freeze_count())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_simulate_experiment", counting_run)
+    cfg = write_config(tmp_path, GAIN_CONFIG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 1
+    assert frozen[0] > 10_000  # the modules and numpy, at least
+    assert gc.get_freeze_count() == 0
+
+
+def test_scaling_and_fitted_conditions_load_no_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma; the 99th and 99.9th percentiles come from a sort
+    runs = [
+        ("scaling", {**GAIN_CONFIG, "sizes": [100, 10_000], "reps_per_size": 3}),
+        ("conditions", GAIN_CONFIG),  # no log_coefficient: it is fitted
+    ]
+    calls = [
+        f"fluiddem.cli.main([{cmd!r}, '--config', {write_config(tmp_path, cfg, cmd + '.json')!r},"
+        f" '--out', {str(tmp_path / cmd)!r}])"
+        for cmd, cfg in runs
+    ]
+    probe = _import_probe(run="; ".join(calls))
+    assert not any(name.startswith("numpy.ma") for name in probe["heavy"])
+    assert (tmp_path / "scaling" / "scaling.csv").exists()
+    assert (tmp_path / "conditions" / "conditions.csv").exists()
+
+
+def test_conditions_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS dot product of n >= 10,000 splits its sum by thread; at these sizes
+    # the weighted sums would differ in their last digits
+    upward = {
+        **GAIN_CONFIG,
+        "mechanism": {"kind": "upward", "p": 0.5},
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 0.98},
+        "sizes": [20_000, 200_000],
+        "reps_per_size": 2,
+        "delta_exponent": 0.95,
+    }
+    cfg = write_config(tmp_path, upward)
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = tmp_path / f"blas{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "fluiddem.cli", "conditions", "--config", cfg, "--out", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        written.append((out / "conditions.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(

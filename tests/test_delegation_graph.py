@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from helpers import (
+    component_sizes,
     csv_writer_edges,
+    from_edge_csv,
     full_doubling_roots,
     pooled_chisq_pvalue,
     row_loop_targets,
     stable_count_greater,
+    stats,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,12 +32,9 @@ from fluiddem.delegation_graph import (
     NO_EDGE,
     DelegationGraph,
     _count_greater,
-    component_sizes,
     forest_roots,
-    from_edge_csv,
     mixture_targets,
     sample_graph,
-    stats,
     to_edge_csv,
 )
 from fluiddem.mechanisms import RowNormalizedPhi, row_mixture
@@ -306,6 +306,28 @@ def test_count_greater_matches_stable_sort_at_the_bit_level(name, p_vec):
     ref_order, ref_count = stable_count_greater(p_vec)
     assert np.array_equal(order, ref_order)
     assert np.array_equal(count, ref_count)
+
+
+def _sign_and_tie_pool():
+    """Negatives, -0.0 and +0.0, subnormals, and a one-ulp chain and its
+    negation, whose members differ only in their last 4 bits: from n = 9 on
+    the sort drops those bits, so repeated draws tie inside one high-bit run."""
+    up = _nextafter_chain(0.3, 6)
+    return np.concatenate(
+        (up, -up, [-0.0, 0.0, 2.0**-1074, 3 * 2.0**-1074, -2.0**-1074, -1.0, 1.0, 0.5])
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 256, 257, 4096, 4097])
+def test_count_greater_matches_stable_sort_where_the_low_bits_widen(n):
+    # (n - 1).bit_length() low bits carry the voter: one more at each 2^k + 1
+    rng = substream(63, n)
+    pool = _sign_and_tie_pool()
+    for p_vec in (pool[rng.integers(0, pool.size, size=n)], rng.standard_normal(n)):
+        order, count = _count_greater(p_vec)
+        ref_order, ref_count = stable_count_greater(p_vec)
+        assert np.array_equal(order, ref_order)
+        assert np.array_equal(count, ref_count)
 
 
 def test_confidence_based_targets_uniform():

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,31 @@ def test_auto_gain_rows_equal_exact_rows(tmp_path):
 
 # ---------------------------------------------------------------------------
 # scaling study
+
+
+@pytest.mark.parametrize("q", [99.0, 99.9, 50.0, 12.5, 0.0, 100.0])
+def test_percentile_equals_numpy_percentile(q):
+    rng = substream(90)
+    for k in range(300):
+        n = 1 if k < 3 else int(rng.integers(2, 200))
+        # integer values on odd k, so that neighbouring order statistics tie
+        values = rng.integers(0, 12, size=n).astype(float) if k % 2 else rng.random(n) * 50.0
+        assert harness._percentile(values, q) == float(np.percentile(values, q))
+
+
+def test_upward_instance_peak_memory():
+    # about 6.8 MiB of traced allocations at n = 2e5, 4.4 arrays of n words: one
+    # more n-word array alive at once (1.5 MiB) breaks the bound
+    n = 200_000
+    cfg = ExperimentConfig(Upward(0.5), Uniform(0.0, 0.98), (n,), 1, 7, delta_exponent=0.95)
+    rng = substream(7, 0, 0)
+    tracemalloc.start()
+    try:
+        harness._instance_stats(cfg, n, 0, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * 2**20
 
 
 def test_scaling_study_span_validation():

@@ -9,6 +9,8 @@ from helpers import (
     grid_bucket_sup_table,
     pooled_chisq_pvalue,
     sequential_simon_components,
+    simulate_graph_branching_batch,
+    simulate_multitype_sizes,
 )
 
 from fluiddem import (
@@ -36,9 +38,7 @@ from fluiddem.processes import (
     expected_w,
     simulate_delegation_branching,
     simulate_graph_branching,
-    simulate_graph_branching_batch,
     simulate_multitype_poisson,
-    simulate_multitype_sizes,
     simulate_simon_components,
     simulate_v_process,
     simulate_v_process_batch,

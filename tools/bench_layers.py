@@ -2,14 +2,18 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_15.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_16.json
 
 Every layer runs RUNS times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
 median wall time of the timed call is recorded in milliseconds (`median_ms`),
 and beside it the lower and upper quartiles of the same calls (`p25_ms`,
 `p75_ms`), so that a change between two runs can be read against each run's
-own spread. Inputs a layer only consumes (a graph for compute_weights,
+own spread. One more, untimed call per layer and size runs under
+tracemalloc, and its peak of traced allocations, divided by n, is recorded
+in bytes per voter (`peak_bytes_per_voter`): the working set the layer adds
+to its inputs. For the 2-worker `replicate` layer it is the calling
+process's share only. Inputs a layer only consumes (a graph for compute_weights,
 competencies for direct_tail and for the upward rank order `_count_greater`,
 a confidence graph and its weights for the fluid tail and the Monte Carlo
 tally, a confidence graph for to_edge_csv) are built outside the timed call;
@@ -61,6 +65,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -255,6 +260,18 @@ def time_layer(prepare, n: int, size_idx: int) -> tuple[float, float, float]:
     return quartiles(times)
 
 
+def peak_bytes_per_voter(prepare, n: int, size_idx: int) -> float:
+    """Peak traced allocations of one untimed call at size n, in bytes per voter."""
+    call = prepare(n, substream(SEED, size_idx, RUNS))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / n, 1)
+
+
 def fluiddem_self_ms(importtime: str) -> float:
     """Summed self milliseconds of the fluiddem modules in `-X importtime` output."""
     total_us = 0
@@ -347,19 +364,20 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     cli._keep_freed_heap()
-    stats = {"p25_ms": {}, "median_ms": {}, "p75_ms": {}}
+    stats = {"p25_ms": {}, "median_ms": {}, "p75_ms": {}, "peak_bytes_per_voter": {}}
     for name, prepare in LAYERS.items():
-        rows, last = [{}, {}, {}], None
+        rows, last = [{}, {}, {}, {}], None
         for size_idx, n in enumerate(SIZES):
             if last is not None and last[1] / 1e3 * (n / last[0]) ** 2 > SKIP_ABOVE_S:
                 for row in rows:
                     row[str(n)] = None
                 continue
             timed = time_layer(prepare, n, size_idx)
-            for row, ms in zip(rows, timed):
-                row[str(n)] = ms
+            peak = peak_bytes_per_voter(prepare, n, size_idx)
+            for row, value in zip(rows, (*timed, peak)):
+                row[str(n)] = value
             last = (n, timed[1])
-            print(f"{name} n={n}: {timed[1]:.1f} [{timed[0]:.1f}, {timed[2]:.1f}] ms",
+            print(f"{name} n={n}: {timed[1]:.1f} [{timed[0]:.1f}, {timed[2]:.1f}] ms, {peak:.1f} B/voter",
                   file=sys.stderr, flush=True)
         for key, row in zip(stats, rows):
             stats[key][name] = row
