@@ -52,9 +52,7 @@ from .tally import (
     GainReport,
     weighted_poisson_binomial_tail,
     direct_tail,
-    brute_force_tail,
     exact_gain,
-    brute_force_gain,
     monte_carlo_gain,
 )
 from .streams import substream

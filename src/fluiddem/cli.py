@@ -7,12 +7,12 @@ reproducible from its config plus the recorded manifest. Data goes to files
 (or standard output for `processes` without --out); progress and errors go to
 standard error.
 
-Exit codes: 0 success, 1 config/validation error, 2 runtime error.
+Exit codes: 0 success (and --help), 1 config/validation error, 2 runtime or usage
+error.
 """
 
 from __future__ import annotations
 
-import argparse
 import ctypes
 import gc
 import hashlib
@@ -26,7 +26,6 @@ from . import __version__, distributions, harness, mechanisms
 # unused here, but perfbench/tracer.py wraps them by name on this module
 from .delegation_graph import sample_instance, to_edge_csv  # noqa: F401
 
-DATA_COMMANDS = ("simulate", "gain", "conditions", "scaling", "sixstep")
 # glibc's mallopt parameter numbers
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
@@ -51,41 +50,74 @@ def _keep_freed_heap() -> None:
     mallopt(M_MMAP_THRESHOLD, 32 << 20)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fluiddem",
-        description="Sample delegation instances and tally fluid vs. direct voting accuracy.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": "sample instances; write per-instance weight summaries and edge lists",
-        "gain": "exact or Monte Carlo gain per sampled instance",
-        "conditions": "empirical frequencies of the max-weight, lift and separation conditions",
-        "scaling": "99th-percentile max-weight scaling across sizes",
-        "processes": "build the bucketized multi-type branching model and report it as JSON",
-        "sixstep": "per-step diagnostics of the decomposed general-continuous sampler",
-    }
-    for name, help_text in specs.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the JSON config document")
-        cmd.add_argument(
-            "--out",
-            default=None,
-            required=name != "processes",
-            help="output directory (created if missing)",
-        )
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument(
-            "--sizes", default=None, help="override the config sizes, e.g. 500,1000"
-        )
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="most replicate workers: forked processes pinned one per CPU, capped at the "
-            "CPUs this process may use; small runs use one (default: the CPU count)",
-        )
-    return parser
+COMMANDS = {
+    "simulate": "sample instances; write per-instance weight summaries and edge lists",
+    "gain": "exact or Monte Carlo gain per sampled instance",
+    "conditions": "empirical frequencies of the max-weight, lift and separation conditions",
+    "scaling": "99th-percentile max-weight scaling across sizes",
+    "processes": "build the bucketized multi-type branching model and report it as JSON",
+    "sixstep": "per-step diagnostics of the decomposed general-continuous sampler",
+}
+FLAGS = {
+    "config": "path to the JSON config document",
+    "out": "output directory (created if missing; optional for processes only)",
+    "seed": "override the config seed",
+    "sizes": "override the config sizes, e.g. 500,1000",
+    "threads": "most replicate workers: forked processes pinned one per CPU, capped at the "
+    "CPUs this process may use; small runs use one (default: the CPU count)",
+}
+USAGE = (
+    f"usage: fluiddem {{{','.join(COMMANDS)}}} --config CONFIG [--out OUT] [--seed SEED]"
+    " [--sizes SIZES] [--threads THREADS]"
+)
+
+
+def _usage_error(message: str):
+    print(f"{USAGE}\nfluiddem: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> tuple[str, dict]:
+    """(command, {flag: value}) of argv: a command, then --flag value or --flag=value pairs.
+
+    A flag may be shortened to any unique prefix, a negative number is a value,
+    and a later value overrides an earlier one. -h or --help prints the help to
+    stdout and exits 0; a usage error prints the usage and the error to stderr
+    and exits 2.
+    """
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, "", "Sample delegation instances and tally fluid vs. direct voting accuracy.", sep="\n")
+        print("\ncommands:", *(f"  {name:<11} {text}" for name, text in COMMANDS.items()), sep="\n")
+        print("\noptions:", *(f"  {f'--{name} {name.upper()}':<19} {text}" for name, text in FLAGS.items()), sep="\n")
+        print("  -h, --help          show this help and exit")
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(f"the first argument must be a command: {', '.join(COMMANDS)}")
+    command, rest = argv[0], list(argv[1:])
+    args = {"config": None, "out": None, "seed": None, "sizes": None, "threads": os.cpu_count() or 1}
+    while rest:
+        token = rest.pop(0)
+        name, has_value, value = token[2:].partition("=")
+        matches = [flag for flag in FLAGS if flag.startswith(name)] if token[:2] == "--" and name else []
+        if len(matches) != 1:
+            _usage_error(f"ambiguous option: {token} could match --{', --'.join(matches)}" if matches
+                         else f"unrecognized argument: {token}")
+        flag = matches[0]
+        if not has_value:
+            if not rest or (rest[0][:1] == "-" and not rest[0][1:].replace(".", "", 1).isdigit()):
+                _usage_error(f"argument --{flag}: expected one argument")
+            value = rest.pop(0)
+        if flag in ("seed", "threads"):
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument --{flag}: invalid int value: {value!r}")
+        args[flag] = value
+    required = ("config",) if command == "processes" else ("config", "out")
+    missing = [f"--{flag}" for flag in required if args[flag] is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    return command, args
 
 
 def _load_json(path: str) -> dict:
@@ -167,35 +199,34 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = build_parser().parse_args(argv)
-    command = args.command
+    command, args = parse_args(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
 
     # validation phase: everything must parse before any sampling starts
     try:
-        raw_config = _load_json(args.config)
+        raw_config = _load_json(args["config"])
         if command == "processes":
             bucket_inputs = _bucket_inputs(raw_config)
             cfg = None
         else:
             cfg = harness.config_from_dict(raw_config)
-            if args.seed is not None:
-                cfg = cfg.replace(seed=int(args.seed))
-            if args.sizes is not None:
-                cfg = cfg.replace(sizes=_parse_sizes(args.sizes))
+            if args["seed"] is not None:
+                cfg = cfg.replace(seed=args["seed"])
+            if args["sizes"] is not None:
+                cfg = cfg.replace(sizes=_parse_sizes(args["sizes"]))
             harness.check_command(command, cfg)
-        if args.threads < 1:
-            raise ValueError(f"field 'threads': must be >= 1, got {args.threads}")
+        threads = args["threads"]
+        if threads < 1:
+            raise ValueError(f"field 'threads': must be >= 1, got {threads}")
         out_dir = None
-        if args.out is not None:
-            out_dir = Path(args.out)
+        if args["out"] is not None:
+            out_dir = Path(args["out"])
             out_dir.mkdir(parents=True, exist_ok=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     _keep_freed_heap()
-    threads = args.threads
     try:
         if command == "processes":
             from . import processes
@@ -240,7 +271,7 @@ def _main(argv) -> int:
         elif command == "sixstep":
             rows = harness.run_sixstep_experiment(cfg, threads)
             harness.write_csv(out_dir / "sixstep.csv", harness.SIXSTEP_HEADER, rows)
-        else:  # pragma: no cover - argparse guards this
+        else:  # pragma: no cover - parse_args guards this
             raise ValueError(f"unknown command {command!r}")
 
         _write_manifest(

@@ -319,10 +319,30 @@ def sample_instance(mech, dist, n: int, rng: np.random.Generator):
 
 
 def to_edge_csv(graph: DelegationGraph, path) -> None:
-    """Write the graph as a CSV edge list (voter, target-or-empty) in `csv.writer`'s bytes."""
-    rows = [f"{i},{'' if t < 0 else t}\r\n" for i, t in enumerate(graph.out.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("voter,target\r\n" + "".join(rows))
+    """Write the graph as a CSV edge list (voter, target-or-empty) in `csv.writer`'s bytes.
+
+    The rows are laid out at full width in one byte matrix: the voter's w
+    digits, a comma, the target's w digits and CRLF, w being the digit count
+    of n - 1. A mask drops the leading zeros and a direct voter's target, and
+    the kept bytes, row by row, are the file body.
+    """
+    n, w = graph.n, len(str(graph.n - 1))
+    mat = np.empty((n, 2 * w + 3), dtype=np.uint8)
+    keep = np.ones(mat.shape, dtype=bool)
+    mat[:, w] = ord(",")
+    mat[:, 2 * w + 1 :] = (ord("\r"), ord("\n"))
+    delegates = graph.out >= 0
+    targets = np.where(delegates, graph.out, 0).astype(np.uint32)
+    for number, last in ((np.arange(n, dtype=np.uint32), w - 1), (targets, 2 * w)):
+        for col in range(last, last - w, -1):
+            if col < last:
+                keep[:, col] = number > 0  # a zero quotient leaves a leading zero here
+            number, digit = np.divmod(number, 10)
+            mat[:, col] = digit + ord("0")
+    keep[:, w + 1 : 2 * w + 1] &= delegates[:, None]
+    with open(path, "wb") as fh:
+        fh.write(b"voter,target\r\n")
+        fh.write(mat[keep])
 
 
 __all__ = [

@@ -18,7 +18,7 @@ product on the cyclic lattice of its own window.
 Fewer than n windows each drop or wrap in at most EPS = 1e-30 of mass, so a
 tail moves by less than 1e-24 at n = 1e6, and a threshold outside the final
 window (11,815 totals for a direct tail at n = 1e6) gives exactly 0.0 or 1.0.
-Against the dynamic program `dp_tail`, kept as the test oracle, the round-off
+Against the dynamic program `dp_tail` of the tests' helpers, the round-off
 of a tail was at most 4.1e-14 on random weighted instances at n = 20,000, and
 3.6e-15, 9.1e-15 and 1.5e-14 at n = 2e4, 5e4 and 1e5 on confidence and upward
 graphs under Uniform(0, 1) (direct tail; fluid tails at n/2 and at the mean).
@@ -45,8 +45,8 @@ from .delegation_graph import DelegationGraph, compute_weights
 from .record import Record
 
 MAX_TOTAL_WEIGHT = 10_000_000
-BRUTE_FORCE_MAX_N = 20
 BLOCK = 32  # leaves per block of the direct levels
+MC_CHUNK = 1_000_000  # uniforms per Monte Carlo chunk: 8 MB, and 8 MB of float votes for `votes @ w`
 EPS = 1e-30  # mass a window may leave out
 
 
@@ -72,15 +72,6 @@ class GainReport(Record):
         if self.reps is not None:
             payload["reps"] = self.reps
         return json.dumps(payload)
-
-
-def _tail_from_pmf(pmf: np.ndarray, threshold: float) -> float:
-    kmin = int(math.floor(threshold)) + 1
-    if kmin <= 0:
-        return 1.0  # every achievable total exceeds the threshold
-    if kmin >= pmf.shape[0]:
-        return 0.0
-    return min(math.fsum(pmf[kmin:].tolist()), 1.0)
 
 
 def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -231,40 +222,6 @@ def direct_tail(probs) -> float:
     return weighted_poisson_binomial_tail(np.ones(n, dtype=np.int64), p, n / 2.0)
 
 
-def dp_tail(weights, probs, threshold: float) -> float:
-    """Test oracle: the tail by an O(n * sum(w)) dynamic program over totals."""
-    w, p = _check_tail_inputs(weights, probs)
-    total = int(w.sum())
-    pmf = np.zeros(total + 1)
-    pmf[0] = 1.0
-    top = 0
-    nz = np.where(w > 0)[0]
-    for i in nz.tolist():
-        wi = int(w[i])
-        pi = float(p[i])
-        seg = pmf[: top + 1].copy()
-        pmf[: top + wi + 1] = 0.0
-        pmf[: top + 1] = seg * (1.0 - pi)
-        pmf[wi : top + wi + 1] += seg * pi
-        top += wi
-    return _tail_from_pmf(pmf, threshold)
-
-
-def brute_force_tail(weights, probs, threshold: float) -> float:
-    """Test oracle: exact tail by enumerating all 2^n vote outcomes (n <= 20)."""
-    w = np.asarray(weights, dtype=np.int64)
-    p = np.asarray(probs, dtype=float)
-    n = p.shape[0]
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    masks = np.arange(1 << n, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
-    totals = bits @ w
-    outcome_probs = np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
-    selected = outcome_probs[totals > threshold]
-    return min(math.fsum(selected.tolist()), 1.0)
-
-
 def exact_gain(competencies, graph: DelegationGraph, *, weights=None) -> GainReport:
     """Exact gain report for one instance (product-tree FFT tallies).
 
@@ -278,18 +235,6 @@ def exact_gain(competencies, graph: DelegationGraph, *, weights=None) -> GainRep
     p_fluid = weighted_poisson_binomial_tail(weights, p, n / 2.0)
     p_direct = direct_tail(p)
     return GainReport(p_direct=p_direct, p_fluid=p_fluid, gain=p_fluid - p_direct, method="exact")
-
-
-def brute_force_gain(competencies, graph: DelegationGraph) -> GainReport:
-    """Gain by full outcome enumeration (n <= 20); oracle for exact_gain."""
-    p = np.asarray(competencies, dtype=float)
-    n = graph.n
-    profile = compute_weights(graph)
-    p_fluid = brute_force_tail(profile.weight, p, n / 2.0)
-    p_direct = brute_force_tail(np.ones(n, dtype=np.int64), p, n / 2.0)
-    return GainReport(
-        p_direct=p_direct, p_fluid=p_fluid, gain=p_fluid - p_direct, method="brute_force"
-    )
 
 
 def hoeffding_halfwidth(reps: int, delta: float) -> float:
@@ -327,7 +272,8 @@ def monte_carlo_gain(
     fluid_hits = 0
     direct_hits = 0
     done = 0
-    chunk = max(1, min(reps, 8_000_000 // max(n, 1)))
+    # rows of uniforms fill in order, so the chunking does not change the votes
+    chunk = max(1, min(reps, MC_CHUNK // n))
     while done < reps:
         m = min(chunk, reps - done)
         votes = rng.random((m, n)) < p

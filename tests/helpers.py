@@ -7,7 +7,7 @@ import numpy as np
 from scipy import stats as sps
 
 from fluiddem import distributions
-from fluiddem.delegation_graph import NO_EDGE, DelegationGraph
+from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights
 from fluiddem.mechanisms import (
     AffineInY,
     Constant1,
@@ -19,6 +19,9 @@ from fluiddem.mechanisms import (
 )
 from fluiddem.processes import simulate_graph_branching, simulate_multitype_poisson
 from fluiddem.quadrature import adaptive_simpson
+from fluiddem.tally import GainReport, _check_tail_inputs
+
+BRUTE_FORCE_MAX_N = 20
 
 
 def pooled_chisq_pvalue(a, b, min_pooled: int = 20) -> float:
@@ -247,4 +250,53 @@ def simulate_multitype_sizes(model, start_type, cap, reps, rng) -> np.ndarray:
     return np.asarray(
         [simulate_multitype_poisson(model, start_type, cap, rng) for _ in range(reps)],
         dtype=np.int64,
+    )
+
+
+def dp_tail(weights, probs, threshold: float) -> float:
+    """The tail by an O(n * sum(w)) dynamic program over totals (oracle for the product tree)."""
+    w, p = _check_tail_inputs(weights, probs)
+    pmf = np.zeros(int(w.sum()) + 1)
+    pmf[0] = 1.0
+    top = 0
+    for i in np.where(w > 0)[0].tolist():
+        wi = int(w[i])
+        pi = float(p[i])
+        seg = pmf[: top + 1].copy()
+        pmf[: top + wi + 1] = 0.0
+        pmf[: top + 1] = seg * (1.0 - pi)
+        pmf[wi : top + wi + 1] += seg * pi
+        top += wi
+    kmin = int(math.floor(threshold)) + 1
+    if kmin <= 0:
+        return 1.0  # every achievable total exceeds the threshold
+    if kmin >= pmf.shape[0]:
+        return 0.0
+    return min(math.fsum(pmf[kmin:].tolist()), 1.0)
+
+
+def brute_force_tail(weights, probs, threshold: float) -> float:
+    """Exact tail by enumerating all 2^n vote outcomes (n <= BRUTE_FORCE_MAX_N)."""
+    w = np.asarray(weights, dtype=np.int64)
+    p = np.asarray(probs, dtype=float)
+    n = p.shape[0]
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
+    masks = np.arange(1 << n, dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+    totals = bits @ w
+    outcome_probs = np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
+    selected = outcome_probs[totals > threshold]
+    return min(math.fsum(selected.tolist()), 1.0)
+
+
+def brute_force_gain(competencies, graph) -> GainReport:
+    """Gain by full outcome enumeration (n <= BRUTE_FORCE_MAX_N); oracle for exact_gain."""
+    p = np.asarray(competencies, dtype=float)
+    n = graph.n
+    profile = compute_weights(graph)
+    p_fluid = brute_force_tail(profile.weight, p, n / 2.0)
+    p_direct = brute_force_tail(np.ones(n, dtype=np.int64), p, n / 2.0)
+    return GainReport(
+        p_direct=p_direct, p_fluid=p_fluid, gain=p_fluid - p_direct, method="brute_force"
     )

@@ -9,7 +9,7 @@ import time
 from statistics import NormalDist
 
 import numpy as np
-from helpers import component_sizes, pooled_chisq_pvalue
+from helpers import brute_force_tail, component_sizes, pooled_chisq_pvalue
 from test_delegation_graph import naive_profile, random_functional_graphs
 
 from fluiddem import (
@@ -17,7 +17,6 @@ from fluiddem import (
     LinearQ,
     Uniform,
     Upward,
-    brute_force_tail,
     compute_weights,
     exact_gain,
     monte_carlo_gain,

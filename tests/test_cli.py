@@ -11,7 +11,7 @@ import pytest
 from helpers import csv_writer_edges
 
 from fluiddem import harness
-from fluiddem.cli import main
+from fluiddem.cli import COMMANDS, FLAGS, main, parse_args
 from fluiddem.delegation_graph import sample_instance
 from fluiddem.harness import config_from_dict
 from fluiddem.streams import substream
@@ -275,6 +275,71 @@ def test_rerun_produces_identical_data(tmp_path):
     assert (out1 / "gain.csv").read_bytes() == (out2 / "gain.csv").read_bytes()
 
 
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_parses(command):
+    defaults = {"seed": None, "sizes": None, "threads": os.cpu_count() or 1}
+    parsed = parse_args([command, "--config", "c.json", "--out", "o"])
+    assert parsed == (command, {"config": "c.json", "out": "o", **defaults})
+    if command == "processes":
+        assert parse_args([command, "--config", "c.json"]) == (command, {"config": "c.json", "out": None, **defaults})
+
+
+def test_flag_equals_form_and_unique_prefixes():
+    argv = ["gain", "--conf=c.json", "--o", "o", "--se=3", "--si", "5,6", "--t", "-2", "--seed", "4"]
+    # a negative number is a value, and a repeated flag keeps its last value
+    assert parse_args(argv) == ("gain", {"config": "c.json", "out": "o", "seed": 4, "sizes": "5,6", "threads": -2})
+
+
+BOTH = ["--config", "c.json", "--out", "o"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gain", "--out", "o"], "the following arguments are required: --config"),
+        (["gain", "--config", "c.json"], "the following arguments are required: --out"),
+        (["processes", "--out", "o"], "the following arguments are required: --config"),
+        (["gain", *BOTH, "--bogus", "1"], "unrecognized argument: --bogus"),
+        (["gain", *BOTH, "extra"], "unrecognized argument: extra"),
+        (["gain", *BOTH, "-c", "c.json"], "unrecognized argument: -c"),
+        (["nope", *BOTH], "the first argument must be a command: simulate, gain, conditions"),
+        ([], "the first argument must be a command"),
+        (["--config", "c.json", "gain"], "the first argument must be a command"),
+        (["gain", "--config", "c.json", "--out"], "argument --out: expected one argument"),
+        (["gain", "--config", "--out", "o"], "argument --config: expected one argument"),
+        (["gain", *BOTH, "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["gain", *BOTH, "--threads=1.5"], "argument --threads: invalid int value: '1.5'"),
+        (["gain", *BOTH, "--s", "1"], "ambiguous option: --s could match --seed, --sizes"),
+    ],
+)
+def test_usage_error_exits_two_with_a_message_on_stderr(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: fluiddem ")
+    assert f"fluiddem: error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["gain", "--help"], ["gain", "--config", "c.json", "-h"], ["nope", "-h"]]
+)
+def test_help_exits_zero_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: fluiddem ")
+    for word in (*COMMANDS.values(), *(f"--{flag}" for flag in FLAGS), "--help"):
+        assert word in out
+
+
 # scipy, numpy.ma and numpy.polynomial cost start-up time; only the runs that
 # use them may load them
 IMPORT_PROBE = """
@@ -289,6 +354,7 @@ print(json.dumps({{
     ),
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
     "startup": [m for m in ("dataclasses", "fluiddem.processes") if m in sys.modules],
+    "parsing": [m for m in ("argparse", "gettext", "locale") if m in sys.modules],
 }}))
 """
 
@@ -328,6 +394,14 @@ def test_start_up_loads_no_dataclasses_or_processes():
     assert _import_probe(prelude="import fluiddem.harness")["startup"] == []
     src = Path(__file__).resolve().parents[1] / "src"
     assert [p.name for p in src.rglob("*.py") if "@dataclass" in p.read_text()] == []
+
+
+def test_simulate_run_loads_no_argument_parser(tmp_path):
+    # argparse brings gettext, and its first parser locale: about 4 ms of a run
+    cfg = write_config(tmp_path, GAIN_CONFIG)
+    run = f"fluiddem.cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'run')!r}])"
+    assert _import_probe(run=run)["parsing"] == []
+    assert (tmp_path / "run" / "instances.csv").exists()
 
 
 @pytest.mark.parametrize(

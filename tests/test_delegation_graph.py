@@ -500,3 +500,19 @@ def test_edge_csv_bytes_match_csv_writer(tmp_path):
         to_edge_csv(graph, tmp_path / "fast.csv")
         csv_writer_edges(graph, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 101, 1_001, 10_001])
+def test_edge_csv_bytes_at_digit_widths(tmp_path, n):
+    # n - 1 sets the digit width, and 10^k + 1 voters leave one row at the widest;
+    # all direct, sampled, and all delegating (one cycle through every voter)
+    graphs = [
+        graph_of(*([NO_EDGE] * n)),
+        sample_graph(ConfidenceBased(ConstantQ(0.5)), substream(8, n).random(n), substream(9, n)),
+    ]
+    if n > 1:
+        graphs.append(DelegationGraph(n, (np.arange(n) + 1) % n))
+    for graph in graphs:
+        to_edge_csv(graph, tmp_path / "fast.csv")
+        csv_writer_edges(graph, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -1,15 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import brute_force_gain, brute_force_tail, dp_tail
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluiddem import (
     GainReport,
-    brute_force_gain,
-    brute_force_tail,
     direct_tail,
     exact_gain,
     monte_carlo_gain,
@@ -19,7 +19,7 @@ from fluiddem import (
 from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights, sample_instance
 from fluiddem.distributions import Uniform
 from fluiddem.mechanisms import ConfidenceBased, LinearQ
-from fluiddem.tally import BLOCK, MAX_TOTAL_WEIGHT, _block_pmfs, _window, dp_tail, hoeffding_halfwidth
+from fluiddem.tally import BLOCK, MAX_TOTAL_WEIGHT, MC_CHUNK, _block_pmfs, _window, hoeffding_halfwidth
 
 
 def graph_of(*out):
@@ -242,6 +242,36 @@ def test_monte_carlo_matches_exact_on_star():
     exact = exact_gain(p, graph)
     mc = monte_carlo_gain(p, graph, reps=1_000_000, delta=0.01, rng=rng)
     assert abs(mc.gain - exact.gain) <= 2 * mc.ci_halfwidth
+
+
+def test_monte_carlo_chunks_draw_the_votes_of_one_chunk():
+    # 1,000 reps at n = 3,000 take three chunks and a part; half the voters
+    # delegate to random direct voters, so both probabilities are far from 0 and 1
+    n, reps = 3_000, 1_000
+    assert reps > 3 * (MC_CHUNK // n)
+    rng = substream(7)
+    p = rng.random(n)
+    graph = DelegationGraph(n, np.where(np.arange(n) % 2 == 1, 2 * rng.integers(0, n // 2, n), NO_EDGE))
+    report = monte_carlo_gain(p, graph, reps, 0.05, substream(8))
+    votes = substream(8).random((reps, n)) < p
+    weight = compute_weights(graph).weight.astype(float)
+    assert report.p_direct == np.count_nonzero(votes.sum(axis=1) > n / 2) / reps
+    assert report.p_fluid == np.count_nonzero(votes @ weight > n / 2) / reps
+    assert 0.1 < report.p_direct < 0.9 and 0.1 < report.p_fluid < 0.9
+
+
+def test_monte_carlo_memory_is_one_chunk():
+    # a chunk's uniforms, then its votes cast to float: 8 MB each; 66 MB when a
+    # chunk held 8,000,000 uniforms
+    n = 10_000
+    p = substream(9).random(n)
+    tracemalloc.start()
+    try:
+        monte_carlo_gain(p, graph_of(*([NO_EDGE] * n)), 738, 0.05, substream(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * MC_CHUNK
 
 
 def test_monte_carlo_ci_formula():

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_16.json
+    PYTHONPATH=src python3 tools/bench_layers.py --label change --out BENCH_17.json
 
 Every layer runs RUNS times per size on fixed seeds (substream(SEED, size
 index, run)), one instance per run, competencies from Uniform(0, 1); the
@@ -37,7 +37,12 @@ modules that import loads, and of fluiddem's own share (the summed
 `-X importtime` self times of the fluiddem modules). It also records the
 probes' `sys.flags.dont_write_bytecode`: when set (PYTHONDONTWRITEBYTECODE),
 no `__pycache__` is written, so every probe compiles fluiddem's sources and
-their own time includes that compilation.
+their own time includes that compilation. Each probe then times its first
+`cli.main`, a `conditions` run of one voter at `--threads 1`, whose time is
+the CLI's fixed cost per run: argument parsing, config validation, one
+instance and the file writes. Its quartiles over the probes are recorded
+(`first_run_p25_ms`, `first_run_median_ms`, `first_run_p75_ms`), and with
+them the modules that run loads (`first_run_modules`), which should be none.
 
 The `replicate` layers time harness.replicate on the conditions-upward
 workload's instances (Upward(0.5) under Uniform(0, 0.98), 2 reps of size n,
@@ -64,6 +69,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from datetime import datetime, timezone
@@ -96,12 +102,28 @@ IMPORT_PROBE = """
 import json, sys, time
 before, start = len(sys.modules), time.perf_counter()
 import fluiddem.cli
+ms = 1e3 * (time.perf_counter() - start)
+loaded = set(sys.modules)
+start = time.perf_counter()
+rc = fluiddem.cli.main(["conditions", "--config", sys.argv[1], "--out", sys.argv[2], "--threads", "1"])
+run_ms = 1e3 * (time.perf_counter() - start)
 print(json.dumps({
-    "ms": 1e3 * (time.perf_counter() - start),
-    "modules": len(sys.modules) - before,
+    "ms": ms,
+    "modules": len(loaded) - before,
     "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+    "rc": rc,
+    "run_ms": run_ms,
+    "run_modules": sorted(set(sys.modules) - loaded),
 }))
 """
+# the probe's first CLI run: one Upward instance of one voter, so the run is its fixed cost
+ONE_VOTER_CONDITIONS = {
+    "mechanism": {"kind": "upward", "p": 0.5},
+    "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+    "sizes": [1],
+    "reps_per_size": 1,
+    "seed": SEED,
+}
 # Hoeffding reps for half-width 0.05 at confidence 0.95, the values in gain-auto's config
 MC_REPS = 738
 
@@ -285,23 +307,35 @@ def fluiddem_self_ms(importtime: str) -> float:
 
 
 def time_import() -> dict:
-    """Medians of the time, module count and fluiddem's own time of `import fluiddem.cli`."""
+    """Medians of the time, module count and fluiddem's own time of `import fluiddem.cli`,
+    and the quartiles of the first `cli.main` that follows it, with the modules that run loads."""
     env = dict(os.environ, PYTHONPATH=str(Path(fluiddem.__file__).resolve().parents[1]))
     probes = []
-    for _ in range(IMPORT_RUNS):
-        done = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c", IMPORT_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        probes.append(dict(json.loads(done.stdout), self_ms=fluiddem_self_ms(done.stderr)))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "conditions.json"
+        config.write_text(json.dumps(ONE_VOTER_CONDITIONS))
+        for _ in range(IMPORT_RUNS):
+            done = subprocess.run(
+                [sys.executable, "-X", "importtime", "-c", IMPORT_PROBE, str(config), str(Path(tmp) / "run")],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            probe = json.loads(done.stdout)
+            if probe["rc"] != 0:
+                raise RuntimeError(f"the probe's conditions run exited {probe['rc']}: {done.stderr[-500:]}")
+            probes.append(dict(probe, self_ms=fluiddem_self_ms(done.stderr)))
+    run_p25, run_median, run_p75 = quartiles([p["run_ms"] for p in probes])
     return {
         "median_ms": round(statistics.median(p["ms"] for p in probes), 3),
         "modules": statistics.median(p["modules"] for p in probes),
         "fluiddem_self_ms": round(statistics.median(p["self_ms"] for p in probes), 3),
         "dont_write_bytecode": probes[0]["dont_write_bytecode"],
+        "first_run_p25_ms": run_p25,
+        "first_run_median_ms": run_median,
+        "first_run_p75_ms": run_p75,
+        "first_run_modules": sorted({m for p in probes for m in p["run_modules"]}),
     }
 
 
@@ -360,7 +394,9 @@ def main(argv=None) -> int:
     print(
         f"import: {imported['median_ms']:.1f} ms, {imported['modules']} modules, "
         f"fluiddem's own {imported['fluiddem_self_ms']:.1f} ms, "
-        f"dont_write_bytecode={imported['dont_write_bytecode']}",
+        f"dont_write_bytecode={imported['dont_write_bytecode']}; first conditions run of one voter: "
+        f"{imported['first_run_median_ms']:.2f} [{imported['first_run_p25_ms']:.2f}, "
+        f"{imported['first_run_p75_ms']:.2f}] ms, loading {imported['first_run_modules']}",
         file=sys.stderr,
     )
     cli._keep_freed_heap()
