@@ -26,7 +26,6 @@ from .distributions import (
     TruncatedBeta,
     PiecewiseLinearDensity,
     sample,
-    mean,
     interval_mass,
     nondelegator_mean,
 )
@@ -42,10 +41,7 @@ from .mechanisms import (
     AffineInY,
     ExpInY,
     TabulatedPhi,
-    delegation_probability,
-    pair_weight,
     normalize_phi,
-    phi_bounds,
 )
 from .delegation_graph import DelegationGraph, WeightProfile, sample_graph, compute_weights
 from .tally import (

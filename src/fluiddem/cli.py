@@ -143,10 +143,10 @@ def _bucket_inputs(raw: dict):
     for required in ("phi", "distribution", "p", "eps"):
         if required not in raw:
             raise ValueError(f"field '{required}': missing")
-    phi = harness.parse_field("phi", mechanisms.phi_from_config, raw["phi"])
-    dist = harness.parse_field("distribution", distributions.from_config, raw["distribution"])
-    p = harness.parse_field("p", float, raw["p"])
-    eps = harness.parse_field("eps", float, raw["eps"])
+    phi = mechanisms.from_config(mechanisms.PHI_KINDS, raw["phi"], "phi")
+    dist = mechanisms.from_config(distributions.KINDS, raw["distribution"], "distribution")
+    p = mechanisms.parse_field("p", mechanisms.finite, raw["p"])
+    eps = mechanisms.parse_field("eps", mechanisms.finite, raw["eps"])
     if not 0.0 < p < 1.0:
         raise ValueError("field 'p': must be in (0, 1)")
     if eps <= 0.0:

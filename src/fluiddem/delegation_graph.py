@@ -10,9 +10,10 @@ One pointer-doubling kernel, forest_roots, finds where every walk ends and
 which walks never settle: those are the nullified voters, their walks end on
 delegating voters, and the weights are a bincount of the other walks' ends.
 
-One kernel, mixture_targets, draws every general-continuous target: each
-delegator's law mixes two grid rows of phi, sampled exactly by composition
-in O(rows * n + m log n) for m delegators.
+sample_graph asks the mechanism for its out-edges, which it draws with the
+kernels here. One kernel, mixture_targets, draws every general-continuous
+target: each delegator's law mixes two grid rows of phi, sampled exactly by
+composition in O(rows * n + m log n) for m delegators.
 """
 
 from __future__ import annotations
@@ -21,15 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .mechanisms import (
-    ConfidenceBased,
-    GeneralContinuous,
-    MechanismSpec,
-    PairWeightFn,
-    Upward,
-    row_mixture,
-    sampling_equivalent,
-)
 from .record import Record
 
 NO_EDGE = -1
@@ -47,10 +39,10 @@ class DelegationGraph(Record, eq=False):
             raise ValueError("a delegation graph needs at least one voter")
         if out.shape != (self.n,):
             raise ValueError("out must have one entry per voter")
-        if np.any(out == np.arange(self.n)):
+        delegators = np.flatnonzero(out >= 0)
+        if np.any(out[delegators] == delegators):
             raise ValueError("self-delegation is not allowed")
-        bad = (out != NO_EDGE) & ((out < 0) | (out >= self.n))
-        if np.any(bad):
+        if out.min() < NO_EDGE or out.max() >= self.n:
             raise ValueError("out-edges must point at voters")
 
 
@@ -154,18 +146,18 @@ def _inverse_cdf_targets(cum: np.ndarray, rng: np.random.Generator, count: int) 
 
 
 def mixture_targets(
-    phi: PairWeightFn, p_vec, sources, allowed, rng: np.random.Generator, forbid_self: bool = True
+    phi, p_vec, sources, allowed, rng: np.random.Generator, forbid_self: bool = True
 ) -> np.ndarray:
     """One target in `allowed` per source i, with P(j) proportional to phi(p_i, p_j).
 
-    phi(p_i, .) = (1 - t_i)*r_k + t_i*r_{k+1} (row_mixture). Row k + 1 is
+    phi(p_i, .) = (1 - t_i)*r_k + t_i*r_{k+1} (phi.row_mixture). Row k + 1 is
     picked with probability t_i*S'_{k+1} / [(1 - t_i)*S'_k + t_i*S'_{k+1}],
     S'_c being row c's mass on `allowed` minus r_c(p_i) when forbid_self (the
     sources then lie in `allowed`); the target is an inverse-CDF draw on that
     row's cumsum, self-hits redrawn in the same row. A one-row phi takes no
     row-pick draw. Sources with no weight on another allowed target get NO_EDGE.
     """
-    mix = row_mixture(phi, p_vec[sources])
+    mix = phi.row_mixture(p_vec[sources])
     lo = np.zeros(sources.size)  # S'_k per source
     hi = np.zeros(sources.size)  # S'_{k+1} per source
     for c in range(mix.rows):
@@ -247,60 +239,19 @@ def _count_greater(p_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, greater
 
 
-def sample_graph(mech: MechanismSpec, competencies, rng: np.random.Generator) -> DelegationGraph:
+def sample_graph(mech, competencies, rng: np.random.Generator) -> DelegationGraph:
     """Sample one delegation graph for fixed competencies.
 
     Each voter independently delegates with probability q(p_i); a delegator
     picks target j != i proportionally to phi(p_i, p_j). A voter whose total
-    pair weight on others is zero votes directly.
+    pair weight on others is zero votes directly. The mechanism draws the
+    edges (its out_edges).
     """
     p_vec = np.asarray(competencies, dtype=float)
     n = p_vec.shape[0]
     if n < 1:
         raise ValueError("need at least one voter")
-
-    if isinstance(mech, Upward):
-        # uniform target among strictly more competent voters; the most
-        # competent voter places zero weight everywhere and votes directly.
-        # Each n-word array is dropped after its last read, so that at most
-        # three are alive beside p_vec.
-        wants = rng.random(n) < mech.p
-        desc_order, greater = _count_greater(p_vec)
-        delegators = np.flatnonzero(wants & (greater > 0))
-        above = greater[delegators]
-        del wants, greater
-        ranks = rng.random(delegators.size)
-        ranks *= above
-        ranks = ranks.astype(np.int64)  # truncation is floor: >= 0
-        above -= 1
-        np.minimum(ranks, above, out=ranks)
-        targets = desc_order[ranks]
-        del desc_order, ranks, above
-        out = np.full(n, NO_EDGE, dtype=np.int64)
-        out[delegators] = targets
-        return DelegationGraph(n, out)
-
-    out = np.full(n, NO_EDGE, dtype=np.int64)
-    u_delegate = rng.random(n)
-    if isinstance(mech, ConfidenceBased):
-        if n == 1:
-            return DelegationGraph(n, out)
-        delegators = np.where(u_delegate < mech.q(p_vec))[0]
-        t = rng.integers(0, n - 1, size=delegators.size)
-        t = t + (t >= delegators)
-        out[delegators] = t
-        return DelegationGraph(n, out)
-
-    if isinstance(mech, GeneralContinuous):
-        delegators = np.where(u_delegate < mech.p)[0]
-        if delegators.size == 0 or n == 1:
-            return DelegationGraph(n, out)
-        out[delegators] = mixture_targets(
-            sampling_equivalent(mech.phi), p_vec, delegators, np.arange(n), rng
-        )
-        return DelegationGraph(n, out)
-
-    raise TypeError(f"not a mechanism: {mech!r}")
+    return DelegationGraph(n, mech.out_edges(p_vec, rng))
 
 
 def sample_instance(mech, dist, n: int, rng: np.random.Generator):

@@ -23,7 +23,6 @@ import math
 import os
 import pickle
 import signal
-import warnings
 from functools import partial
 from pathlib import Path
 from typing import Optional, Union
@@ -35,6 +34,7 @@ from .distributions import DistributionSpec, Uniform, TruncatedBeta, PiecewiseLi
 from .delegation_graph import DelegationGraph, NO_EDGE, compute_weights, mixture_targets
 from .delegation_graph import sample_instance, to_edge_csv
 from .mechanisms import (
+    MECHANISM_KINDS,
     AffineInY,
     ConfidenceBased,
     Constant1,
@@ -43,13 +43,12 @@ from .mechanisms import (
     LinearQ,
     MechanismSpec,
     Upward,
+    finite,
+    from_config,
+    gc_lift_constant,
     normalize_phi,
-    phi_x_knots,
-    phi_y_knots as mechanisms_phi_y_knots,
-    row_mixture,
-    sampling_equivalent,
+    parse_field,
 )
-from .quadrature import integrate
 from .record import Record
 from .streams import substream
 from .tally import MAX_TOTAL_WEIGHT, exact_gain, hoeffding_halfwidth, monte_carlo_gain
@@ -77,21 +76,15 @@ class MonteCarloGainMode(Record):
 GainMode = Union[ExactGainMode, MonteCarloGainMode]
 
 
-def default_delta_exponent(p: float) -> float:
-    """Midpoint of the valid exponent range (p + (1-p)*7/8, 1) for Upward."""
-    lower = p + (1.0 - p) * 7.0 / 8.0
-    return 0.5 * (lower + 1.0)
-
-
 class ExperimentConfig(Record):
     mechanism: MechanismSpec
     distribution: DistributionSpec
     sizes: tuple[int, ...]
     reps_per_size: int
     seed: int
-    delta_exponent: Optional[float] = None  # C(n) = n**delta_exponent (Upward)
+    delta_exponent: Optional[float] = None  # C(n) = n**delta_exponent (mechanism.delta_floor set)
     log_coefficient: Optional[float] = None  # C(n) = coeff * ln n (other mechanisms)
-    alpha: Optional[float] = None  # lift constant; default from estimate_lift_constant
+    alpha: Optional[float] = None  # lift constant; default from mechanism.lift
     gain_mode: GainMode = ExactGainMode()
     ci_delta: float = 0.01  # confidence parameter for reported Hoeffding half-widths
     eps: float = 0.05  # slack parameter for the six-step diagnostics
@@ -111,33 +104,26 @@ class ExperimentConfig(Record):
             raise ValueError("field 'ci_delta': must be in (0, 1)")
         if self.eps <= 0.0:
             raise ValueError("field 'eps': must be positive")
-        if self.delta_exponent is not None and isinstance(self.mechanism, Upward):
-            lower = self.mechanism.p + (1.0 - self.mechanism.p) * 7.0 / 8.0
+        lower = self.mechanism.delta_floor
+        if self.delta_exponent is not None and lower is not None:
             if not lower < self.delta_exponent < 1.0:
                 raise ValueError(
                     f"field 'delta_exponent': must lie in ({lower:.6g}, 1) for this mechanism"
                 )
 
     def max_weight_bound(self, n: int, fitted_log_coefficient: Optional[float] = None) -> float:
-        """C(n): n**delta for Upward, coeff * ln n otherwise."""
-        if isinstance(self.mechanism, Upward):
-            delta = self.delta_exponent
-            if delta is None:
-                delta = default_delta_exponent(self.mechanism.p)
+        """C(n): n**delta where the mechanism has a delta_floor (Upward), coeff * ln n otherwise.
+
+        delta defaults to the midpoint of its valid range (delta_floor, 1).
+        """
+        lower = self.mechanism.delta_floor
+        if lower is not None:
+            delta = self.delta_exponent if self.delta_exponent is not None else 0.5 * (lower + 1.0)
             return float(n) ** delta
         coeff = self.log_coefficient if self.log_coefficient is not None else fitted_log_coefficient
         if coeff is None:
             raise ValueError("log coefficient has not been fitted yet")
         return coeff * math.log(n)
-
-
-def parse_field(name: str, convert, value):
-    """convert(value), naming the config field if it raises ValueError, KeyError,
-    TypeError or OverflowError (int of an infinite float)."""
-    try:
-        return convert(value)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"field '{name}': {exc}") from exc
 
 
 def _integer(value) -> int:
@@ -156,13 +142,11 @@ def _sizes(value) -> tuple[int, ...]:
 
 def _optional_float(obj: dict, name: str) -> Optional[float]:
     value = obj.get(name)
-    return None if value is None else parse_field(name, float, value)
+    return None if value is None else parse_field(name, finite, value)
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
     """Parse an experiment config document, naming the offending field on error."""
-    from . import mechanisms as mechs_mod
-
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
     for required in ("mechanism", "distribution", "sizes", "reps_per_size", "seed"):
@@ -177,13 +161,13 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     elif kind == "monte_carlo":
         gain_mode = MonteCarloGainMode(
             parse_field("gain_mode.reps", _integer, gm_obj.get("reps")),
-            parse_field("gain_mode.delta", float, gm_obj.get("delta")),
+            parse_field("gain_mode.delta", finite, gm_obj.get("delta")),
         )
     else:
         raise ValueError("field 'gain_mode.kind': must be 'exact', 'monte_carlo' or 'auto'")
     return ExperimentConfig(
-        mechanism=parse_field("mechanism", mechs_mod.from_config, obj["mechanism"]),
-        distribution=parse_field("distribution", distributions.from_config, obj["distribution"]),
+        mechanism=from_config(MECHANISM_KINDS, obj["mechanism"], "mechanism"),
+        distribution=from_config(distributions.KINDS, obj["distribution"], "distribution"),
         sizes=parse_field("sizes", _sizes, obj["sizes"]),
         reps_per_size=parse_field("reps_per_size", _integer, obj["reps_per_size"]),
         seed=parse_field("seed", _integer, obj["seed"]),
@@ -191,8 +175,8 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         log_coefficient=_optional_float(obj, "log_coefficient"),
         alpha=_optional_float(obj, "alpha"),
         gain_mode=gain_mode,
-        ci_delta=parse_field("ci_delta", float, obj.get("ci_delta", 0.01)),
-        eps=parse_field("eps", float, obj.get("eps", 0.05)),
+        ci_delta=parse_field("ci_delta", finite, obj.get("ci_delta", 0.01)),
+        eps=parse_field("eps", finite, obj.get("eps", 0.05)),
     )
 
 
@@ -223,70 +207,6 @@ def builtin_bucket_configs():
         (AffineInY(0.5, 1.0), ramp, 0.3, 0.05),
     ]
     return [(normalize_phi(phi, dist), dist, p, eps) for phi, dist, p, eps in raw]
-
-
-# ---------------------------------------------------------------------------
-# lift constants
-
-
-def _phi_y_moment(phi, dist, x):
-    """E_{y ~ dist}[phi(x, y) * y] per entry of x (a float for a float x)."""
-    x = np.asarray(x, dtype=float)
-    breaks = {*distributions._breakpoints(dist), *mechanisms_phi_y_knots(phi)}
-    return integrate(
-        lambda y: phi(x[..., None], y) * y * distributions.pdf(dist, y), 0.0, 1.0, 1e-11, breaks
-    )
-
-
-def gc_lift_constant(phi_normalized, dist) -> float:
-    """min over x of E_y[phi(x, y) * y] - mean(dist), for unit-y-mean phi.
-
-    For a tabulated base, E_y[phi(x, .) * y] and the divisor are linear in x
-    on each grid cell, so the minimum lies on a grid row; other bases ignore x.
-    """
-    xs = np.array(phi_x_knots(phi_normalized) or (0.5,))
-    return float(np.min(_phi_y_moment(phi_normalized, dist, xs))) - distributions.mean(dist)
-
-
-def estimate_lift_constant(mech: MechanismSpec, dist) -> tuple[float, float, float]:
-    """(mu, lift constant, suggested alpha) for a mechanism/distribution pair.
-
-    ConfidenceBased: the lift constant is mu* (expected competence conditioned
-    on not delegating) and alpha = (mu* - mu) / 6. GeneralContinuous: the lift
-    constant is c = min_x E_y[phi(x, y)*y] - mu for the normalized phi and
-    alpha = c*p/4 (p is the delegation probability, so roughly p*n voters move
-    their ballot to competence mu + c or better). Upward: the lift constant is
-    the competence gap b - a between the 25th and 50th percentiles and
-    alpha = p*pi_a*pi_b*(b - a)/8 with pi_a = 1/4, pi_b = 1/2.
-    """
-    mu = distributions.mean(dist)
-    if isinstance(mech, Upward):
-        a = distributions.quantile(dist, 0.25)
-        b = distributions.quantile(dist, 0.5)
-        pi_a = 0.25
-        pi_b = 0.5
-        alpha = mech.p * pi_a * pi_b * (b - a) / 8.0
-        return mu, b - a, alpha
-    if isinstance(mech, ConfidenceBased):
-        mu_star = distributions.nondelegator_mean(dist, mech.q)
-        if mu_star <= mu + 1e-12:
-            raise ValueError(
-                "q does not raise nondelegator competence (mu* <= mu); it must be decreasing"
-            )
-        return mu, mu_star, (mu_star - mu) / 6.0
-    if isinstance(mech, GeneralContinuous):
-        phi_n = normalize_phi(mech.phi, dist)
-        c = gc_lift_constant(phi_n, dist)
-        if c <= 1e-12:
-            warnings.warn(
-                "phi yields no competence lift (c = 0); a strictly y-increasing phi is required "
-                "for positive gain",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            c = 0.0
-        return mu, c, c * mech.p / 4.0
-    raise TypeError(f"not a mechanism: {mech!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +348,7 @@ def check_command(command: str, cfg: ExperimentConfig) -> None:
         )
     if command == "scaling" and max(cfg.sizes) < 100 * min(cfg.sizes):
         raise ValueError("field 'sizes': a scaling study needs sizes spanning >= 2 decades")
-    if command == "sixstep" and not isinstance(cfg.mechanism, GeneralContinuous):
+    if command == "sixstep" and not cfg.mechanism.six_step:
         raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
 
 
@@ -509,7 +429,7 @@ def _percentile(values: np.ndarray, q: float) -> float:
 def _resolve_alpha(cfg: ExperimentConfig) -> float:
     if cfg.alpha is not None:
         return cfg.alpha
-    return estimate_lift_constant(cfg.mechanism, cfg.distribution)[2]
+    return cfg.mechanism.lift(cfg.distribution)[1]
 
 
 def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConditionReport:
@@ -519,18 +439,20 @@ def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> Conditi
     sum_i weight_i p_i - sum_i p_i reaches 2*alpha*n. Condition 3: the direct
     expectation sits below n/2 - alpha*n while the fluid expectation sits
     above n/2 + alpha*n. Frequencies come with Hoeffding half-widths at
-    confidence 1 - ci_delta. When no log_coefficient is given (non-Upward),
+    confidence 1 - ci_delta. When no log_coefficient is given (the bound is
+    coeff * ln n),
     it is fitted at the smallest size as the 99.9th percentile of
     max_weight / ln n.
     """
     alpha = _resolve_alpha(cfg)
+    log_bound = cfg.mechanism.delta_floor is None
     ci = hoeffding_halfwidth(cfg.reps_per_size, cfg.ci_delta)
     fitted: Optional[float] = cfg.log_coefficient
     rows = []
     per_size = replicate(cfg, partial(_instance_stats, cfg), threads)
     for n, stats in zip(cfg.sizes, per_size):
         max_ws, lifts, comp_sums, nullified = (np.array(col, dtype=float) for col in zip(*stats))
-        if fitted is None and not isinstance(cfg.mechanism, Upward):
+        if fitted is None and log_bound:
             fitted = _percentile(max_ws / math.log(n), 99.9)
         bound = cfg.max_weight_bound(n, fitted)
         half = n / 2.0
@@ -555,8 +477,8 @@ def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> Conditi
     return ConditionReport(
         rows=tuple(rows),
         alpha=alpha,
-        delta_exponent=cfg.delta_exponent if isinstance(cfg.mechanism, Upward) else None,
-        log_coefficient=None if isinstance(cfg.mechanism, Upward) else fitted,
+        delta_exponent=None if log_bound else cfg.delta_exponent,
+        log_coefficient=fitted if log_bound else None,
     )
 
 
@@ -665,15 +587,15 @@ def run_six_step_sampler(
 
     Returns (competencies, graph, SixStepDiagnostics).
     """
-    if not isinstance(mech, GeneralContinuous):
+    if not mech.six_step:
         raise ValueError("the six-step sampler is defined for GeneralContinuous mechanisms")
     if n < 2:
         raise ValueError("need at least two voters")
     p = mech.p
     phi_n = normalize_phi(mech.phi, dist)
     # ratios below are scale-free, so sample with the cheaper equivalent
-    phi = sampling_equivalent(phi_n)
-    mu = distributions.mean(dist)
+    phi = phi_n.sampling_base
+    mu = dist.mean()
     if lift_constant is None:
         lift_constant = gc_lift_constant(phi_n, dist)
     lift_c = max(lift_constant, 0.0)
@@ -694,7 +616,7 @@ def run_six_step_sampler(
 
     # event 3: each delegator's weight on M, its weighted mean competence
     # there, and its weight on all others, mixed from per-row sums
-    mix = row_mixture(phi, p_vec[out_idx])
+    mix = phi.row_mixture(p_vec[out_idx])
     m_weight = mix.mixed(p_vec, lambda row: row[m_idx].sum())
     gp_m = mix.mixed(p_vec, lambda row: float(np.dot(row[m_idx], p_vec[m_idx])))
     total_weight_on_others = mix.mixed(p_vec, lambda row: row.sum() - row[out_idx])

@@ -4,23 +4,32 @@ pairwise weight function phi.
 A mechanism decides, per voter, whether to delegate (with probability
 q(competence)) and, conditioned on delegating, places weight
 phi(own competence, other competence) on every other voter and picks a target
-proportionally. Three families are built in:
+proportionally. Three families are built in, each exposing `.q` and `.phi`:
 
 * Upward(p): q == p, phi(x, y) = 1 if y > x else 0 (delegate uniformly to a
   strictly more competent voter).
 * ConfidenceBased(q): phi == 1 (uniform target), q monotonically decreasing.
 * GeneralContinuous(p, phi): q == p, phi continuous, positive and increasing
   in its second coordinate.
+
+Each class answers for its family: a mechanism draws its out-edges, states
+its lift constant, its max-weight bound's shape and whether the six-step
+sampler applies; a weight function gives its y-mean, normalization, bounds,
+grid-row mixture, knots and sampling base. One registry per family maps a
+config document's `kind` to its class, and `from_config` reads them all.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import warnings
 from typing import Callable, Union
 
 import numpy as np
 
 from . import distributions
+from .delegation_graph import NO_EDGE, _count_greater, mixture_targets
 from .quadrature import integrate
 from .record import Record
 
@@ -102,162 +111,6 @@ DelegationProbabilityFn = Union[ConstantQ, LinearQ, PiecewiseLinearQ]
 # pairwise weight functions
 
 
-class Indicator(Record):
-    """phi(x, y) = 1 if y > x else 0."""
-
-    def __call__(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return (y > x).astype(float)
-
-    depends_on_x = True
-
-
-class Constant1(Record):
-    def __call__(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.ones_like(y)
-
-    depends_on_x = False
-
-
-class AffineInY(Record):
-    """phi(x, y) = c0 + c1*y with c0 > 0, c1 > 0."""
-
-    c0: float
-    c1: float
-
-    def __post_init__(self):
-        if self.c0 <= 0.0 or self.c1 <= 0.0:
-            raise ValueError("AffineInY requires c0 > 0 and c1 > 0")
-
-    def __call__(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return self.c0 + self.c1 * y
-
-    depends_on_x = False
-
-
-class ExpInY(Record):
-    """phi(x, y) = scale * exp(lam * y) with lam > 0, scale > 0."""
-
-    lam: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.lam <= 0.0 or self.scale <= 0.0:
-            raise ValueError("ExpInY requires lam > 0 and scale > 0")
-
-    def __call__(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return self.scale * np.exp(self.lam * y)
-
-    depends_on_x = False
-
-
-class TabulatedPhi(Record):
-    """Bilinear interpolation of positive values on a uniform grid over [0, 1]^2.
-
-    values[i][j] is the weight at (x_i, y_j) with x_i = i/(nx-1) and
-    y_j = j/(ny-1). Values must be nondecreasing along y so the interpolant is
-    increasing in its second coordinate.
-    """
-
-    values: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        vals = tuple(tuple(float(v) for v in row) for row in self.values)
-        object.__setattr__(self, "values", vals)
-        arr = np.array(vals)
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-            raise ValueError("TabulatedPhi needs a 2-d grid with at least 2x2 values")
-        if np.any(arr < 0.0):
-            raise ValueError("TabulatedPhi values must be nonnegative")
-        if np.any(np.diff(arr, axis=1) < 0.0):
-            raise ValueError("TabulatedPhi values must be nondecreasing in y")
-        arr.flags.writeable = False
-        object.__setattr__(self, "_arr", arr)
-        object.__setattr__(self, "_xs", np.linspace(0.0, 1.0, arr.shape[0]))
-        object.__setattr__(self, "_ys", np.linspace(0.0, 1.0, arr.shape[1]))
-
-    def __call__(self, x, y):
-        arr = self._arr
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        xi, tx = _grid_cell(self._xs, x)
-        yi, ty = _grid_cell(self._ys, y)
-        v00 = arr[xi, yi]
-        v01 = arr[xi, yi + 1]
-        v10 = arr[xi + 1, yi]
-        v11 = arr[xi + 1, yi + 1]
-        return (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
-
-    def x_cell(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(k, t) per x, k in [0, nx - 2]: phi(x, .) = (1 - t)*row(k) + t*row(k + 1)."""
-        return _grid_cell(self._xs, np.asarray(x, dtype=float))
-
-    def row(self, k: int, y) -> np.ndarray:
-        """phi(x_k, y) on grid row k: piecewise linear in y between grid columns."""
-        return np.interp(np.asarray(y, dtype=float), self._ys, self._arr[k])
-
-    depends_on_x = True
-
-
-def _grid_cell(grid: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index i in [0, len(grid) - 2] and position in [0, 1] of v within it."""
-    i = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, len(grid) - 2)
-    return i, np.clip((v - grid[i]) / (grid[i + 1] - grid[i]), 0.0, 1.0)
-
-
-class RowNormalizedPhi(Record, eq=False):
-    """base(x, y) / E_y[base(x, .)] under dist: exact unit y-mean for every x.
-
-    Used to normalize x-dependent weight functions; the per-x divisor keeps
-    every delegator's target distribution identical to the base function's.
-    Divisors are closed-form in x: bilinear interpolation is linear in x
-    between grid rows, so a tabulated base's divisor interpolates its row
-    means exactly; an indicator's is 1 - cdf(x); any other base ignores x
-    and has one divisor. A row-normalized base is flattened, since per-x
-    rescaling cancels.
-    """
-
-    base: "PairWeightFn"
-    dist: object
-
-    def __post_init__(self):
-        if isinstance(self.base, RowNormalizedPhi):
-            object.__setattr__(self, "base", self.base.base)
-
-    depends_on_x = True
-
-    @functools.cached_property
-    def _row_means(self) -> np.ndarray:
-        """E_y[base(x_i, .)] per grid row of a tabulated base, else at x = 0."""
-        xs = self.base._xs if isinstance(self.base, TabulatedPhi) else np.zeros(1)
-        return phi_mean_in_y(self.base, self.dist, xs)
-
-    def _means(self, x: np.ndarray):
-        if isinstance(self.base, Indicator):
-            return 1.0 - distributions.cdf(self.dist, x)
-        if isinstance(self.base, TabulatedPhi):
-            return np.interp(x, self.base._xs, self._row_means)
-        return self._row_means[0]
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self.base(x, y), dtype=float) / self._means(x)
-
-
-PairWeightFn = Union[Indicator, Constant1, AffineInY, ExpInY, TabulatedPhi, RowNormalizedPhi]
-
-
-def sampling_equivalent(phi: "PairWeightFn") -> "PairWeightFn":
-    """A weight function with the same per-delegator target law, cheaper to evaluate.
-
-    Per-x rescaling cancels from every ratio phi(x, .)/sum phi(x, .), so the
-    base of a RowNormalizedPhi samples identically.
-    """
-    return phi.base if isinstance(phi, RowNormalizedPhi) else phi
-
-
 class RowMixture(Record, eq=False):
     """phi(x_i, .) = (1 - t_i)*row(k_i) + t_i*row(k_i + 1) for a vector of x_i.
 
@@ -279,31 +132,277 @@ class RowMixture(Record, eq=False):
         return out
 
 
-def row_mixture(phi: "PairWeightFn", x) -> RowMixture:
-    """phi(x, .) as a mixture of grid rows, for each entry of x.
+def _constant(value, x):
+    """A divisor that ignores x (a module function, so a RowNormalizedPhi stays picklable)."""
+    return value
 
-    Only a tabulated phi depends on x here: a RowNormalizedPhi samples as its
-    base (sampling_equivalent), and GeneralContinuous rejects Indicator.
+
+class PairWeight(Record):
+    """A weight function phi(x, y) on [0, 1]^2. The defaults fit an x-independent
+    phi: one grid row, no knots, sampled as itself, its y-mean by quadrature."""
+
+    depends_on_x = False
+    x_knots = ()  # x positions where phi may have kinks (grid lines)
+    y_knots = ()
+
+    @property
+    def sampling_base(self) -> "PairWeight":
+        """A weight function with the same per-delegator target law, cheaper to evaluate."""
+        return self
+
+    def mean_in_y(self, dist, x: np.ndarray) -> np.ndarray:
+        """E_{y ~ dist}[phi(x, y)] per entry of the array x."""
+        breaks = {*dist.breakpoints(), *self.y_knots}
+        return integrate(lambda y: self(x[..., None], y) * dist.pdf(y), 0.0, 1.0, 1e-12, breaks)
+
+    def divisor(self, dist) -> Callable:
+        """x -> E_{y ~ dist}[phi(x, y)], its quadratures done once: one for an x-independent phi."""
+        return functools.partial(_constant, phi_mean_in_y(self, dist, np.zeros(1))[0])
+
+    def normalized(self, dist) -> "PairWeight":
+        return RowNormalizedPhi(self, dist)
+
+    def row_mixture(self, x) -> RowMixture:
+        """phi(x, .) as a mixture of grid rows, for each entry of x."""
+        if self.depends_on_x:
+            raise TypeError(f"no grid-row mixture for the x-dependent {self!r}")
+        zeros = np.zeros(np.shape(x))
+        return RowMixture(
+            lambda c, y: np.asarray(self(0.0, y), dtype=float), zeros.astype(np.int64), zeros, 1
+        )
+
+    def row_sums(self, p_vec: np.ndarray) -> np.ndarray:
+        """S[k] = sum over k' != k of phi(p_k, p_k'), mixed from per-row sums in O(rows * n)."""
+        return self.row_mixture(p_vec).mixed(p_vec, lambda row: row.sum() - row)
+
+
+class Indicator(PairWeight):
+    """phi(x, y) = 1 if y > x else 0."""
+
+    depends_on_x = True
+
+    def __call__(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return (y > x).astype(float)
+
+    def mean_in_y(self, dist, x):
+        return 1.0 - dist.cdf(x)
+
+    def divisor(self, dist):
+        return functools.partial(self.mean_in_y, dist)
+
+    def normalized(self, dist):
+        raise NotStrictlyPositiveError("Indicator cannot be normalized: it attains 0")
+
+    def bounds(self):
+        return 0.0, 1.0
+
+    def row_sums(self, p_vec):
+        return _count_greater(p_vec)[1].astype(float)
+
+
+class Constant1(PairWeight):
+    def __call__(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return np.ones_like(y)
+
+    def mean_in_y(self, dist, x):
+        return np.ones(x.shape)
+
+    def normalized(self, dist):
+        return self
+
+    def bounds(self):
+        return 1.0, 1.0
+
+
+class AffineInY(PairWeight):
+    """phi(x, y) = c0 + c1*y with c0 > 0, c1 > 0."""
+
+    c0: float
+    c1: float
+
+    def __post_init__(self):
+        if self.c0 <= 0.0 or self.c1 <= 0.0:
+            raise ValueError("AffineInY requires c0 > 0 and c1 > 0")
+
+    def __call__(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return self.c0 + self.c1 * y
+
+    def mean_in_y(self, dist, x):
+        return np.full(x.shape, self.c0 + self.c1 * dist.mean())
+
+    def normalized(self, dist):
+        m = self.c0 + self.c1 * dist.mean()
+        return AffineInY(self.c0 / m, self.c1 / m)
+
+    def bounds(self):
+        return self.c0, self.c0 + self.c1
+
+
+class ExpInY(PairWeight):
+    """phi(x, y) = scale * exp(lam * y) with lam > 0, scale > 0."""
+
+    lam: float
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.lam <= 0.0 or self.scale <= 0.0:
+            raise ValueError("ExpInY requires lam > 0 and scale > 0")
+
+    def __call__(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return self.scale * np.exp(self.lam * y)
+
+    def normalized(self, dist):
+        return ExpInY(self.lam, self.scale / phi_mean_in_y(self, dist, 0.0))
+
+    def bounds(self):
+        return self.scale, self.scale * float(np.exp(self.lam))
+
+
+class TabulatedPhi(PairWeight):
+    """Bilinear interpolation of positive values on a uniform grid over [0, 1]^2.
+
+    values[i][j] is the weight at (x_i, y_j) with x_i = i/(nx-1) and
+    y_j = j/(ny-1). Values must be nondecreasing along y so the interpolant is
+    increasing in its second coordinate.
     """
-    if isinstance(phi, TabulatedPhi):
-        return RowMixture(phi.row, *phi.x_cell(x), len(phi.values))
-    if phi.depends_on_x:
-        raise TypeError(f"no grid-row mixture for the x-dependent {phi!r}")
-    zeros = np.zeros(np.shape(x))
-    return RowMixture(
-        lambda c, y: np.asarray(phi(0.0, y), dtype=float), zeros.astype(np.int64), zeros, 1
-    )
+
+    values: tuple[tuple[float, ...], ...]
+    depends_on_x = True
+
+    def __post_init__(self):
+        vals = tuple(tuple(float(v) for v in row) for row in self.values)
+        object.__setattr__(self, "values", vals)
+        arr = np.array(vals)
+        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
+            raise ValueError("TabulatedPhi needs a 2-d grid with at least 2x2 values")
+        if np.any(arr < 0.0):
+            raise ValueError("TabulatedPhi values must be nonnegative")
+        if np.any(np.diff(arr, axis=1) < 0.0):
+            raise ValueError("TabulatedPhi values must be nondecreasing in y")
+        arr.flags.writeable = False
+        object.__setattr__(self, "_arr", arr)
+        object.__setattr__(self, "_xs", np.linspace(0.0, 1.0, arr.shape[0]))
+        object.__setattr__(self, "_ys", np.linspace(0.0, 1.0, arr.shape[1]))
+        object.__setattr__(self, "x_knots", tuple(self._xs))
+        object.__setattr__(self, "y_knots", tuple(self._ys))
+
+    def __call__(self, x, y):
+        arr = self._arr
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        xi, tx = _grid_cell(self._xs, x)
+        yi, ty = _grid_cell(self._ys, y)
+        v00 = arr[xi, yi]
+        v01 = arr[xi, yi + 1]
+        v10 = arr[xi + 1, yi]
+        v11 = arr[xi + 1, yi + 1]
+        return (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
+
+    def row(self, k: int, y) -> np.ndarray:
+        """phi(x_k, y) on grid row k: piecewise linear in y between grid columns."""
+        return np.interp(np.asarray(y, dtype=float), self._ys, self._arr[k])
+
+    def row_mixture(self, x):
+        k, t = _grid_cell(self._xs, np.asarray(x, dtype=float))
+        return RowMixture(self.row, k, t, len(self.values))
+
+    def divisor(self, dist):
+        # bilinear interpolation is linear in x between grid rows, and so is its y-mean
+        return functools.partial(np.interp, xp=self._xs, fp=phi_mean_in_y(self, dist, self._xs))
+
+    def bounds(self):
+        lo, hi = float(self._arr.min()), float(self._arr.max())
+        if lo <= 0.0:
+            raise NotStrictlyPositiveError("TabulatedPhi attains 0 on its grid")
+        return lo, hi
 
 
-def phi_x_knots(phi) -> tuple[float, ...]:
-    """x positions where phi may have kinks (grid lines of tabulated variants)."""
-    base = sampling_equivalent(phi)
-    return tuple(base._xs) if isinstance(base, TabulatedPhi) else ()
+def _grid_cell(grid: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index i in [0, len(grid) - 2] and position in [0, 1] of v within it."""
+    i = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, len(grid) - 2)
+    return i, np.clip((v - grid[i]) / (grid[i + 1] - grid[i]), 0.0, 1.0)
 
 
-def phi_y_knots(phi) -> tuple[float, ...]:
-    base = sampling_equivalent(phi)
-    return tuple(base._ys) if isinstance(base, TabulatedPhi) else ()
+class RowNormalizedPhi(PairWeight, eq=False):
+    """base(x, y) / E_y[base(x, .)] under dist: exact unit y-mean for every x.
+
+    Used to normalize x-dependent weight functions; the per-x divisor keeps
+    every delegator's target distribution identical to the base function's,
+    so it samples as its base and shares its knots. Divisors are closed-form
+    in x (the base's `divisor`): bilinear interpolation is linear in x
+    between grid rows, so a tabulated base's divisor interpolates its row
+    means exactly; an indicator's is 1 - cdf(x); any other base ignores x
+    and has one divisor. A row-normalized base is flattened, since per-x
+    rescaling cancels.
+    """
+
+    base: PairWeight
+    dist: object
+    depends_on_x = True
+
+    def __post_init__(self):
+        base = self.base.sampling_base
+        vars(self).update(base=base, x_knots=base.x_knots, y_knots=base.y_knots)
+
+    @property
+    def sampling_base(self):
+        return self.base
+
+    @functools.cached_property
+    def _means(self) -> Callable:
+        """x -> E_y[base(x, .)], built on first use."""
+        return self.base.divisor(self.dist)
+
+    def __call__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(self.base(x, y), dtype=float) / self._means(x)
+
+    def bounds(self):
+        # grid + monotonicity: extremes of phi(x, y) over y sit at y in {0, 1};
+        # a knot that repeats a grid point changes neither extreme
+        xs = np.concatenate([np.linspace(0.0, 1.0, 513), self.x_knots])
+        lo = float(np.min(self(xs, 0.0)))
+        hi = float(np.max(self(xs, 1.0)))
+        if lo <= 0.0:
+            raise NotStrictlyPositiveError("normalized phi attains 0")
+        return lo, hi
+
+
+def phi_mean_in_y(phi: PairWeight, dist, x):
+    """E_{y ~ dist}[phi(x, y)] per entry of x (a float for a float x), closed-form where possible."""
+    x = np.asarray(x, dtype=float)
+    m = phi.mean_in_y(dist, x)
+    return m if x.ndim else float(m)
+
+
+def normalize_phi(phi: PairWeight, dist) -> PairWeight:
+    """Rescale phi so that E_{y ~ dist}[phi(x, y)] = 1 for every x.
+
+    The rescaled function induces the same target distribution for every
+    delegator, so sampling behaviour is unchanged; only the normalization
+    convention used by the bucketized branching analysis differs.
+    """
+    return phi.normalized(dist)
+
+
+def phi_y_moment(phi: PairWeight, dist, x):
+    """E_{y ~ dist}[phi(x, y) * y] per entry of x (a float for a float x)."""
+    x = np.asarray(x, dtype=float)
+    breaks = {*dist.breakpoints(), *phi.y_knots}
+    return integrate(lambda y: phi(x[..., None], y) * y * dist.pdf(y), 0.0, 1.0, 1e-11, breaks)
+
+
+def gc_lift_constant(phi_normalized: PairWeight, dist) -> float:
+    """min over x of E_y[phi(x, y) * y] - mean(dist), for unit-y-mean phi.
+
+    For a tabulated base, E_y[phi(x, .) * y] and the divisor are linear in x
+    on each grid cell, so the minimum lies on a grid row; other bases ignore x.
+    """
+    xs = np.array(phi_normalized.x_knots or (0.5,))
+    return float(np.min(phi_y_moment(phi_normalized, dist, xs))) - dist.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -312,210 +411,181 @@ def phi_y_knots(phi) -> tuple[float, ...]:
 
 class Upward(Record):
     p: float
+    phi = Indicator()
+    six_step = False
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"Upward requires p in (0, 1), got {self.p}")
+        object.__setattr__(self, "q", ConstantQ(self.p))
+
+    @property
+    def delta_floor(self) -> float:
+        """Max-weight bound C(n) = n**delta for delta in (delta_floor, 1)."""
+        return self.p + (1.0 - self.p) * 7.0 / 8.0
+
+    def out_edges(self, p_vec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """out[i]: a uniform target among the voters strictly more competent
+        than i, or NO_EDGE. The most competent voter places zero weight
+        everywhere and votes directly. Each n-word array is dropped after its
+        last read, so that at most three are alive beside p_vec."""
+        n = p_vec.shape[0]
+        wants = rng.random(n) < self.p
+        desc_order, greater = _count_greater(p_vec)
+        delegators = np.flatnonzero(wants & (greater > 0))
+        above = greater[delegators]
+        del wants, greater
+        ranks = rng.random(delegators.size)
+        ranks *= above
+        ranks = ranks.astype(np.int64)  # truncation is floor: >= 0
+        above -= 1
+        np.minimum(ranks, above, out=ranks)
+        targets = desc_order[ranks]
+        del desc_order, ranks, above
+        out = np.full(n, NO_EDGE, dtype=np.int64)
+        out[delegators] = targets
+        return out
+
+    def lift(self, dist) -> tuple[float, float]:
+        """The competence gap b - a between the 25th and 50th percentiles, and
+        alpha = p*pi_a*pi_b*(b - a)/8 with pi_a = 1/4, pi_b = 1/2."""
+        a, b = dist.quantile(0.25), dist.quantile(0.5)
+        return b - a, self.p * 0.25 * 0.5 * (b - a) / 8.0
 
 
 class ConfidenceBased(Record):
     q: DelegationProbabilityFn
+    phi = Constant1()
+    delta_floor = None  # C(n) = coeff * ln n
+    six_step = False
 
     def __post_init__(self):
         if not self.q.is_decreasing():
             raise ValueError("ConfidenceBased requires a monotonically decreasing q")
 
+    def out_edges(self, p_vec, rng):
+        n = p_vec.shape[0]
+        out = np.full(n, NO_EDGE, dtype=np.int64)
+        u_delegate = rng.random(n)
+        if n > 1:
+            delegators = np.flatnonzero(u_delegate < self.q(p_vec))
+            t = rng.integers(0, n - 1, size=delegators.size)
+            out[delegators] = t + (t >= delegators)
+        return out
+
+    def lift(self, dist):
+        """mu* (expected competence conditioned on not delegating), and alpha = (mu* - mu) / 6."""
+        mu, mu_star = dist.mean(), distributions.nondelegator_mean(dist, self.q)
+        if mu_star <= mu + 1e-12:
+            raise ValueError(
+                "q does not raise nondelegator competence (mu* <= mu); it must be decreasing"
+            )
+        return mu_star, (mu_star - mu) / 6.0
+
 
 class GeneralContinuous(Record):
     p: float
-    phi: PairWeightFn
+    phi: PairWeight
+    delta_floor = None  # C(n) = coeff * ln n
+    six_step = True
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"GeneralContinuous requires p in (0, 1), got {self.p}")
-        base = self.phi.base if isinstance(self.phi, RowNormalizedPhi) else self.phi
-        if isinstance(base, Indicator):
-            raise ValueError("GeneralContinuous requires a strictly positive phi; Indicator attains 0")
-        if isinstance(base, TabulatedPhi) and min(min(r) for r in base.values) <= 0.0:
-            raise ValueError("GeneralContinuous requires a strictly positive phi")
+        # the base's bounds: a normalized phi's own would take quadratures
+        if self.phi.sampling_base.bounds()[0] <= 0.0:
+            raise ValueError(f"GeneralContinuous requires a strictly positive phi; {self.phi} attains 0")
+        object.__setattr__(self, "q", ConstantQ(self.p))
+
+    def out_edges(self, p_vec, rng):
+        """out[i] from the grid-row mixture kernel (mixture_targets), or NO_EDGE."""
+        n = p_vec.shape[0]
+        out = np.full(n, NO_EDGE, dtype=np.int64)
+        delegators = np.flatnonzero(rng.random(n) < self.p)
+        if delegators.size and n > 1:
+            out[delegators] = mixture_targets(
+                self.phi.sampling_base, p_vec, delegators, np.arange(n), rng
+            )
+        return out
+
+    def lift(self, dist):
+        """c = min_x E_y[phi(x, y)*y] - mu for the normalized phi, and alpha = c*p/4
+        (roughly p*n voters move their ballot to competence mu + c or better)."""
+        c = gc_lift_constant(normalize_phi(self.phi, dist), dist)
+        if c <= 1e-12:
+            warnings.warn(
+                "phi yields no competence lift (c = 0); a strictly y-increasing phi is required "
+                "for positive gain",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            c = 0.0
+        return c, c * self.p / 4.0
 
 
 MechanismSpec = Union[Upward, ConfidenceBased, GeneralContinuous]
 
 
-def delegation_probability(mech: MechanismSpec, x):
-    """q(x) for the mechanism, vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(mech, Upward):
-        return np.full_like(x, mech.p)
-    if isinstance(mech, ConfidenceBased):
-        return mech.q(x)
-    if isinstance(mech, GeneralContinuous):
-        return np.full_like(x, mech.p)
-    raise TypeError(f"not a mechanism: {mech!r}")
-
-
-def pair_weight(mech: MechanismSpec, x, y):
-    """phi(x, y) for the mechanism, vectorized over broadcastable x, y."""
-    if isinstance(mech, Upward):
-        return Indicator()(x, y)
-    if isinstance(mech, ConfidenceBased):
-        return Constant1()(x, y)
-    if isinstance(mech, GeneralContinuous):
-        return mech.phi(x, y)
-    raise TypeError(f"not a mechanism: {mech!r}")
-
-
-def phi_mean_in_y(phi: PairWeightFn, dist, x):
-    """E_{y ~ dist}[phi(x, y)] per entry of x (a float for a float x), closed-form where possible."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(phi, Constant1):
-        m = np.ones(x.shape)
-    elif isinstance(phi, AffineInY):
-        m = np.full(x.shape, phi.c0 + phi.c1 * distributions.mean(dist))
-    elif isinstance(phi, Indicator):
-        m = 1.0 - distributions.cdf(dist, x)
-    else:
-        breaks = {*distributions._breakpoints(dist), *phi_y_knots(phi)}
-        m = integrate(
-            lambda y: phi(x[..., None], y) * distributions.pdf(dist, y), 0.0, 1.0, 1e-12, breaks
-        )
-    return m if x.ndim else float(m)
-
-
-def normalize_phi(phi: PairWeightFn, dist) -> PairWeightFn:
-    """Rescale phi so that E_{y ~ dist}[phi(x, y)] = 1 for every x.
-
-    The rescaled function induces the same target distribution for every
-    delegator, so sampling behaviour is unchanged; only the normalization
-    convention used by the bucketized branching analysis differs.
-    """
-    if isinstance(phi, Indicator):
-        raise NotStrictlyPositiveError("Indicator cannot be normalized: it attains 0")
-    if isinstance(phi, Constant1):
-        return phi
-    if isinstance(phi, AffineInY):
-        m = phi.c0 + phi.c1 * distributions.mean(dist)
-        return AffineInY(phi.c0 / m, phi.c1 / m)
-    if isinstance(phi, ExpInY):
-        m = phi_mean_in_y(phi, dist, 0.0)
-        return ExpInY(phi.lam, phi.scale / m)
-    if isinstance(phi, (TabulatedPhi, RowNormalizedPhi)):
-        return RowNormalizedPhi(phi, dist)
-    raise TypeError(f"not a pair weight function: {phi!r}")
-
-
-def phi_bounds(phi: PairWeightFn) -> tuple[float, float]:
-    """(min, max) of phi over [0, 1]^2. Errors if a positive phi attains 0."""
-    if isinstance(phi, Indicator):
-        return 0.0, 1.0
-    if isinstance(phi, Constant1):
-        return 1.0, 1.0
-    if isinstance(phi, AffineInY):
-        return phi.c0, phi.c0 + phi.c1
-    if isinstance(phi, ExpInY):
-        return phi.scale, phi.scale * float(np.exp(phi.lam))
-    if isinstance(phi, TabulatedPhi):
-        lo, hi = float(phi._arr.min()), float(phi._arr.max())
-        if lo <= 0.0:
-            raise NotStrictlyPositiveError("TabulatedPhi attains 0 on its grid")
-        return lo, hi
-    if isinstance(phi, RowNormalizedPhi):
-        # grid + monotonicity: extremes of phi(x, y) over y sit at y in {0, 1};
-        # a knot that repeats a grid point changes neither extreme
-        xs = np.concatenate([np.linspace(0.0, 1.0, 513), phi_x_knots(phi)])
-        lo = float(np.min(phi(xs, 0.0)))
-        hi = float(np.max(phi(xs, 1.0)))
-        if lo <= 0.0:
-            raise NotStrictlyPositiveError("normalized phi attains 0")
-        return lo, hi
-    raise TypeError(f"not a pair weight function: {phi!r}")
-
-
 # ---------------------------------------------------------------------------
-# config representation
+# config documents
+
+Q_KINDS = {"constant": ConstantQ, "linear": LinearQ, "piecewise_linear": PiecewiseLinearQ}
+PHI_KINDS = {
+    "indicator": Indicator,
+    "constant1": Constant1,
+    "affine_in_y": AffineInY,
+    "exp_in_y": ExpInY,
+    "tabulated": TabulatedPhi,
+    "row_normalized": RowNormalizedPhi,
+}
+MECHANISM_KINDS = {"upward": Upward, "confidence": ConfidenceBased, "general": GeneralContinuous}
+_KEYS = {"lam": "lambda", "dist": "distribution"}  # a field's document key, where they differ
+_NESTED = {"q": Q_KINDS, "phi": PHI_KINDS, "base": PHI_KINDS, "dist": distributions.KINDS}
 
 
-def q_from_config(obj: dict) -> DelegationProbabilityFn:
+def finite(value) -> float:
+    """float(value), refusing NaN and the infinities that JSON documents may hold."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
+def _rows(value) -> tuple:
+    return tuple(tuple(map(finite, row)) for row in value)
+
+
+def parse_field(name: str, convert, value):
+    """convert(value), naming the config field if it raises ValueError, KeyError,
+    TypeError or OverflowError (int of an infinite float)."""
+    try:
+        return convert(value)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"field '{name}': {exc}") from exc
+
+
+def from_config(kinds: dict, obj, path: str):
+    """The class kinds[obj['kind']] built from the document's other fields.
+
+    Numbers must be finite, knots and values are lists of rows of them, and
+    the q/phi/base/distribution fields are documents of their own family. A
+    missing field takes its default, if it has one. Every error is a
+    ValueError that names the field's path, e.g. 'mechanism.phi.lambda'.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("q config must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "constant":
-        return ConstantQ(float(obj["p"]))
-    if kind == "linear":
-        return LinearQ(float(obj["a"]), float(obj["b"]))
-    if kind == "piecewise_linear":
-        return PiecewiseLinearQ(tuple((float(x), float(v)) for x, v in obj["knots"]))
-    raise ValueError(f"unknown q kind: {kind!r}")
-
-
-def q_to_config(q: DelegationProbabilityFn) -> dict:
-    if isinstance(q, ConstantQ):
-        return {"kind": "constant", "p": q.p}
-    if isinstance(q, LinearQ):
-        return {"kind": "linear", "a": q.a, "b": q.b}
-    if isinstance(q, PiecewiseLinearQ):
-        return {"kind": "piecewise_linear", "knots": [list(k) for k in q.knots]}
-    raise TypeError(f"not a q function: {q!r}")
-
-
-def phi_from_config(obj: dict) -> PairWeightFn:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("phi config must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "indicator":
-        return Indicator()
-    if kind == "constant1":
-        return Constant1()
-    if kind == "affine_in_y":
-        return AffineInY(float(obj["c0"]), float(obj["c1"]))
-    if kind == "exp_in_y":
-        return ExpInY(float(obj["lambda"]), float(obj.get("scale", 1.0)))
-    if kind == "tabulated":
-        return TabulatedPhi(tuple(tuple(float(v) for v in row) for row in obj["values"]))
-    if kind == "row_normalized":
-        return RowNormalizedPhi(phi_from_config(obj["base"]), distributions.from_config(obj["distribution"]))
-    raise ValueError(f"unknown phi kind: {kind!r}")
-
-
-def phi_to_config(phi: PairWeightFn) -> dict:
-    if isinstance(phi, Indicator):
-        return {"kind": "indicator"}
-    if isinstance(phi, Constant1):
-        return {"kind": "constant1"}
-    if isinstance(phi, AffineInY):
-        return {"kind": "affine_in_y", "c0": phi.c0, "c1": phi.c1}
-    if isinstance(phi, ExpInY):
-        return {"kind": "exp_in_y", "lambda": phi.lam, "scale": phi.scale}
-    if isinstance(phi, TabulatedPhi):
-        return {"kind": "tabulated", "values": [list(r) for r in phi.values]}
-    if isinstance(phi, RowNormalizedPhi):
-        return {
-            "kind": "row_normalized",
-            "base": phi_to_config(phi.base),
-            "distribution": distributions.to_config(phi.dist),
-        }
-    raise TypeError(f"not a pair weight function: {phi!r}")
-
-
-def from_config(obj: dict) -> MechanismSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("mechanism config must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "upward":
-        return Upward(float(obj["p"]))
-    if kind == "confidence":
-        return ConfidenceBased(q_from_config(obj["q"]))
-    if kind == "general":
-        return GeneralContinuous(float(obj["p"]), phi_from_config(obj["phi"]))
-    raise ValueError(f"unknown mechanism kind: {kind!r}")
-
-
-def to_config(mech: MechanismSpec) -> dict:
-    if isinstance(mech, Upward):
-        return {"kind": "upward", "p": mech.p}
-    if isinstance(mech, ConfidenceBased):
-        return {"kind": "confidence", "q": q_to_config(mech.q)}
-    if isinstance(mech, GeneralContinuous):
-        return {"kind": "general", "p": mech.p, "phi": phi_to_config(mech.phi)}
-    raise TypeError(f"not a mechanism: {mech!r}")
+        raise ValueError(f"field '{path}': must be an object with a 'kind' field")
+    cls = kinds.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+    if cls is None:
+        raise ValueError(f"field '{path}.kind': unknown kind {obj['kind']!r}")
+    values = {}
+    for name in cls._fields:
+        key = _KEYS.get(name, name)
+        if key not in obj:
+            if name not in cls._defaults:
+                raise ValueError(f"field '{path}.{key}': missing")
+        elif name in _NESTED:
+            values[name] = from_config(_NESTED[name], obj[key], f"{path}.{key}")
+        else:
+            read = _rows if name in ("knots", "values") else finite
+            values[name] = parse_field(f"{path}.{key}", read, obj[key])
+    return parse_field(path, lambda fields: cls(**fields), values)

@@ -7,8 +7,9 @@ component-size recurrences W and V, the binomial graph branching process, the
 live/dead/neutral delegation branching process, and a bucketized multi-type
 Poisson branching process with its expected-children matrix.
 
-Delegation branching needs each voter's pair weight on all others: phi(x, .)
-mixes two grid rows (row_mixture), so these mix per-row sums in O(rows * n).
+Delegation branching needs each voter's pair weight on all others, which
+the mechanism's phi gives (its row_sums): in O(rows * n) from per-row sums
+where phi(x, .) mixes two grid rows, from the rank order for an indicator.
 """
 
 from __future__ import annotations
@@ -19,21 +20,8 @@ from collections import deque
 
 import numpy as np
 
-from . import distributions
-from .delegation_graph import NO_EDGE, _count_greater, forest_roots
-from .mechanisms import (
-    ConfidenceBased,
-    MechanismSpec,
-    PairWeightFn,
-    Upward,
-    delegation_probability,
-    pair_weight,
-    phi_bounds,
-    phi_mean_in_y,
-    phi_x_knots,
-    row_mixture,
-    sampling_equivalent,
-)
+from .delegation_graph import NO_EDGE, forest_roots
+from .mechanisms import MechanismSpec, PairWeight, phi_mean_in_y
 from .record import Record
 
 MAX_BUCKETS = 2048
@@ -141,16 +129,6 @@ def simulate_graph_branching(n: int, p_prime: float, rng: np.random.Generator) -
     return dead
 
 
-def _pair_weight_row_sums(mech: MechanismSpec, p_vec: np.ndarray) -> np.ndarray:
-    """S[k] = sum over k' != k of phi(p_k, p_k')."""
-    n = p_vec.shape[0]
-    if isinstance(mech, ConfidenceBased):
-        return np.full(n, float(n - 1))
-    if isinstance(mech, Upward):
-        return _count_greater(p_vec)[1].astype(float)
-    return row_mixture(mech.phi, p_vec).mixed(p_vec, lambda row: row.sum() - row)
-
-
 def simulate_delegation_branching(
     mech: MechanismSpec, competencies, root: int, rng: np.random.Generator
 ) -> int:
@@ -165,11 +143,10 @@ def simulate_delegation_branching(
     n = p_vec.shape[0]
     if not 0 <= root < n:
         raise ValueError("root must be a voter index")
-    if hasattr(mech, "phi"):
-        # per-x rescalings cancel from the conditional ratios below
-        mech = type(mech)(mech.p, sampling_equivalent(mech.phi))
-    q_vec = np.asarray(delegation_probability(mech, p_vec), dtype=float)
-    totals = _pair_weight_row_sums(mech, p_vec)
+    # per-x rescalings cancel from the conditional ratios below
+    phi = mech.phi.sampling_base
+    q_vec = np.asarray(mech.q(p_vec), dtype=float)
+    totals = phi.row_sums(p_vec)
     status = np.zeros(n, dtype=np.uint8)  # 0 neutral, 1 live, 2 dead
     status[root] = 1
     queue = deque([root])
@@ -178,7 +155,7 @@ def simulate_delegation_branching(
         j = queue.popleft()
         neutral = np.where(status == 0)[0]
         if neutral.size:
-            w = np.asarray(pair_weight(mech, p_vec[neutral], p_vec[j]), dtype=float)
+            w = np.asarray(phi(p_vec[neutral], p_vec[j]), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 join_p = np.where(totals[neutral] > 0.0, q_vec[neutral] * w / totals[neutral], 0.0)
             joins = neutral[rng.random(neutral.size) < join_p]
@@ -187,7 +164,7 @@ def simulate_delegation_branching(
         status[j] = 2
         dead += 1
         # j is dead from now on: conditional denominators exclude weight on j
-        totals = totals - np.asarray(pair_weight(mech, p_vec, p_vec[j]), dtype=float)
+        totals = totals - np.asarray(phi(p_vec, p_vec[j]), dtype=float)
     return dead
 
 
@@ -237,7 +214,7 @@ def subcriticality_factor(p: float, eps: float) -> float:
     return p * (1.0 + eps) ** 3 / (1.0 - 2.0 * eps)
 
 
-def _grid_modulus(phi: PairWeightFn, B: int) -> float:
+def _grid_modulus(phi: PairWeight, B: int) -> float:
     """Largest phi variation within any square of side 1/B, on a half-step lattice."""
     lattice = np.linspace(0.0, 1.0, 2 * B + 1)
     vals = np.asarray(phi(lattice[:, None], lattice[None, :]), dtype=float)
@@ -245,7 +222,7 @@ def _grid_modulus(phi: PairWeightFn, B: int) -> float:
     return float(np.max(squares.max(axis=(2, 3)) - squares.min(axis=(2, 3))))
 
 
-def _bucket_sup_table(phi: PairWeightFn, boundaries: np.ndarray) -> np.ndarray:
+def _bucket_sup_table(phi: PairWeight, boundaries: np.ndarray) -> np.ndarray:
     """phi_prime[t, t'] = sup over x in bucket t of phi(x, upper bound of t').
 
     Monotonicity in y makes the y-supremum exact at the bucket's upper
@@ -255,7 +232,7 @@ def _bucket_sup_table(phi: PairWeightFn, boundaries: np.ndarray) -> np.ndarray:
     a bucket end or at a grid line inside the bucket.
     """
     uppers = boundaries[1:]
-    xs = np.sort(np.concatenate([boundaries, phi_x_knots(phi)]))
+    xs = np.sort(np.concatenate([boundaries, phi.x_knots]))
     vals = np.asarray(phi(xs[:, None], uppers[None, :]), dtype=float)
     # rows from each lower end up to the next one cover the lower end and the
     # knots inside; the upper end is the next bucket's first row
@@ -263,7 +240,7 @@ def _bucket_sup_table(phi: PairWeightFn, boundaries: np.ndarray) -> np.ndarray:
     return np.maximum(table, vals[np.searchsorted(xs, uppers)])
 
 
-def build_bucket_model(phi: PairWeightFn, dist, p: float, eps: float) -> BucketModel:
+def build_bucket_model(phi: PairWeight, dist, p: float, eps: float) -> BucketModel:
     """Bucketize a normalized phi into a sub-critical multi-type Poisson model.
 
     Requires eps > 0 with p*(1+eps)^3/(1-2*eps) < 1, and phi with unit
@@ -284,7 +261,7 @@ def build_bucket_model(phi: PairWeightFn, dist, p: float, eps: float) -> BucketM
             raise ValueError(
                 f"phi is not normalized: E_y[phi({x:.2f}, y)] = {m:.8f}; apply normalize_phi first"
             )
-    low, _high = phi_bounds(phi)
+    low, _high = phi.bounds()
 
     B = 1
     while _grid_modulus(phi, B) > low * eps:
@@ -293,7 +270,7 @@ def build_bucket_model(phi: PairWeightFn, dist, p: float, eps: float) -> BucketM
             raise ValueError(f"phi varies too quickly to bucketize with B <= {MAX_BUCKETS}")
 
     boundaries = np.linspace(0.0, 1.0, B + 1)
-    cdf_vals = np.asarray(distributions.cdf(dist, boundaries), dtype=float)
+    cdf_vals = np.asarray(dist.cdf(boundaries), dtype=float)
     pi = np.diff(cdf_vals)
 
     phi_prime = _bucket_sup_table(phi, boundaries)

@@ -6,7 +6,6 @@ import math
 import numpy as np
 from scipy import stats as sps
 
-from fluiddem import distributions
 from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights
 from fluiddem.mechanisms import (
     AffineInY,
@@ -14,8 +13,6 @@ from fluiddem.mechanisms import (
     Indicator,
     RowNormalizedPhi,
     phi_mean_in_y,
-    phi_x_knots,
-    phi_y_knots,
 )
 from fluiddem.processes import simulate_graph_branching, simulate_multitype_poisson
 from fluiddem.quadrature import adaptive_simpson
@@ -103,9 +100,9 @@ def simpson_phi_mean_in_y(phi, dist, x: float) -> float:
     simpson_integrate at its tolerance (oracle for the Gauss–Legendre path)."""
     if isinstance(phi, (Constant1, AffineInY, Indicator)):
         return phi_mean_in_y(phi, dist, x)
-    breaks = {*distributions._breakpoints(dist), *phi_y_knots(phi)}
+    breaks = {*dist.breakpoints(), *phi.y_knots}
     return simpson_integrate(
-        lambda y: float(phi(x, y)) * float(distributions.pdf(dist, y)), 0.0, 1.0, 1e-12, breaks
+        lambda y: float(phi(x, y)) * float(dist.pdf(y)), 0.0, 1.0, 1e-12, breaks
     )
 
 
@@ -133,7 +130,7 @@ def grid_bucket_sup_table(phi, boundaries, B):
     if not phi.depends_on_x:
         row = np.asarray(phi(0.0, uppers), dtype=float)
         return np.tile(row, (B, 1))
-    extra = phi_x_knots(phi)
+    extra = phi.x_knots
     table = np.empty((B, B))
     for t in range(B):
         xs = np.linspace(boundaries[t], boundaries[t + 1], 34)

@@ -26,7 +26,7 @@ from fluiddem import (
 )
 from fluiddem.cli import main as cli_main
 from fluiddem.delegation_graph import sample_graph, sample_instance
-from fluiddem.distributions import expectation, mean
+from fluiddem.distributions import expectation
 from fluiddem.harness import (
     ExactGainMode,
     ExperimentConfig,
@@ -203,7 +203,7 @@ def test_criterion_09_positive_gain_desk_scale():
     p_fluid = np.array([row[4] for row in rows])
     frac = float(np.mean(gains >= 0.9))
     elapsed = time.perf_counter() - started
-    m1 = mean(dist)
+    m1 = dist.mean()
     m2 = expectation(dist, lambda x: x * x)
     z = NormalDist().inv_cdf(0.9)
     predicted = NormalDist().cdf(

@@ -238,12 +238,6 @@ def test_sixstep_command(tmp_path):
     assert len(lines) == 4
 
 
-def test_sixstep_rejects_wrong_mechanism(tmp_path, capsys):
-    cfg = write_config(tmp_path, GAIN_CONFIG)
-    assert main(["sixstep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
-    assert "mechanism" in capsys.readouterr().err
-
-
 def test_processes_command_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, BUCKET_CONFIG)
     assert main(["processes", "--config", cfg]) == 0
@@ -503,6 +497,58 @@ def test_conditions_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
         written.append((out / "conditions.csv").read_bytes())
     assert written[0] == written[1]
+
+
+NAN, INF = float("nan"), float("inf")
+TABULATED = {"kind": "tabulated", "values": [[1.0, 2.0], [1.5, 3.0]]}
+PLD_KNOTS = [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0]]
+
+
+def _general(phi):
+    return {"mechanism": {"kind": "general", "p": 0.3, "phi": phi}}
+
+
+def _confidence(q):
+    return {"mechanism": {"kind": "confidence", "q": q}}
+
+
+BAD_PARAMETERS = [
+    ("conditions", _general({**TABULATED, "values": [[1.0, NAN], [1.5, 3.0]]}), "mechanism.phi.values"),
+    ("simulate", _general({"kind": "exp_in_y", "lambda": NAN}), "mechanism.phi.lambda"),
+    ("conditions", {**_general({"kind": "exp_in_y", "lambda": NAN}), "eps": NAN}, "mechanism.phi.lambda"),
+    ("simulate", _general({"kind": "affine_in_y", "c0": NAN, "c1": 1.0}), "mechanism.phi.c0"),
+    ("simulate", _general({"kind": "affine_in_y", "c0": INF, "c1": 1.0}), "mechanism.phi.c0"),
+    ("simulate", _general({"kind": "exp_in_y", "scale": 2.0}), "mechanism.phi.lambda"),
+    ("gain", _confidence({"kind": "linear", "a": NAN, "b": 0.8}), "mechanism.q.a"),
+    ("gain", _confidence({"kind": "piecewise_linear", "knots": [[0.0, 0.9], [NAN, 0.1]]}), "mechanism.q.knots"),
+    ("gain", {"distribution": {"kind": "piecewise_linear_density", "knots": [[NAN, 1.0], *PLD_KNOTS[1:]]}},
+     "distribution.knots"),
+    ("gain", {"distribution": {"kind": "beta", "a": INF, "b": 2.0}}, "distribution.a"),
+    ("gain", {"mechanism": {"kind": "upward"}}, "mechanism.p"),
+    ("sixstep", {**_general({"kind": "affine_in_y", "c0": 1.0, "c1": 2.0}), "eps": NAN}, "eps"),
+    ("conditions", {"alpha": NAN}, "alpha"),
+    ("conditions", {"log_coefficient": -INF}, "log_coefficient"),
+    ("processes", {**BUCKET_CONFIG, "eps": NAN}, "eps"),
+    ("processes", {**BUCKET_CONFIG, "phi": {"kind": "exp_in_y", "lambda": NAN}}, "phi.lambda"),
+    ("processes", {**BUCKET_CONFIG, "phi": {"kind": "row_normalized", "base": TABULATED,
+                   "distribution": {"kind": "uniform", "lo": 0.0}}}, "phi.distribution.hi"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, change, field", BAD_PARAMETERS, ids=[f"{c}-{f}" for c, _, f in BAD_PARAMETERS]
+)
+def test_non_finite_or_missing_parameter_exits_one_naming_it(tmp_path, capsys, monkeypatch, command, change, field):
+    sampled = []
+    monkeypatch.setattr(harness, "sample_instance", lambda *args: sampled.append(args))
+    base = BUCKET_CONFIG if command == "processes" else {**GAIN_CONFIG, "sizes": [200]}
+    cfg = write_config(tmp_path, {**base, **change})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: field '{field}': " in err
+    assert "Traceback" not in err
+    assert not out.exists() and sampled == []
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from fluiddem.delegation_graph import (
     sample_graph,
     to_edge_csv,
 )
-from fluiddem.mechanisms import RowNormalizedPhi, row_mixture
+from fluiddem.mechanisms import RowNormalizedPhi
 
 
 def graph_of(*out):
@@ -194,6 +194,22 @@ def test_graph_validation():
         graph_of(5, NO_EDGE)  # out of range
     with pytest.raises(ValueError):
         DelegationGraph(0, np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ((NO_EDGE, 0, 2, 1), "self-delegation is not allowed"),  # a self-loop at index 2
+        ((1, NO_EDGE, 0, 3), "self-delegation is not allowed"),  # ... at the last index
+        ((1, NO_EDGE, 4, NO_EDGE), "out-edges must point at voters"),  # past the last voter
+        ((1, NO_EDGE, -2, NO_EDGE), "out-edges must point at voters"),  # below NO_EDGE
+        ((1, 2), "out must have one entry per voter"),
+    ],
+)
+def test_graph_validation_names_the_fault(out, message):
+    n = 3 if len(out) == 2 else len(out)
+    with pytest.raises(ValueError, match=message):
+        DelegationGraph(n, np.array(out, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +466,7 @@ def test_x_dependent_phi_without_grid_rows_is_rejected():
     p_vec = np.array([0.2, 0.7])
     for phi in (Indicator(), RowNormalizedPhi(BENCH_GRID, Uniform(0.0, 1.0))):
         with pytest.raises(TypeError):
-            row_mixture(phi, p_vec)
+            phi.row_mixture(p_vec)
         with pytest.raises(TypeError):
             mixture_targets(phi, p_vec, np.array([0]), np.arange(2), substream(71))
 

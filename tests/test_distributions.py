@@ -11,19 +11,12 @@ from fluiddem import (
     TruncatedBeta,
     Uniform,
     interval_mass,
-    mean,
     nondelegator_mean,
     sample,
     substream,
 )
-from fluiddem.distributions import (
-    DegenerateMechanismError,
-    cdf,
-    from_config,
-    pdf,
-    quantile,
-    to_config,
-)
+from fluiddem.distributions import KINDS, DegenerateMechanismError
+from fluiddem.mechanisms import from_config
 
 ALL_DISTS = [
     Uniform(0.0, 1.0),
@@ -61,10 +54,10 @@ def test_sampling_is_reproducible():
 
 
 def test_means():
-    assert mean(Uniform(0.0, 0.98)) == pytest.approx(0.49)  # 1/2 - eta at eta = 0.01
-    assert mean(Uniform(0.0, 1.0)) == 0.5
-    assert mean(PiecewiseLinearDensity(((0.0, 0.0), (1.0, 2.0)))) == pytest.approx(2.0 / 3.0)
-    assert mean(TruncatedBeta(2.0, 6.0)) == pytest.approx(0.25)
+    assert Uniform(0.0, 0.98).mean() == pytest.approx(0.49)  # 1/2 - eta at eta = 0.01
+    assert Uniform(0.0, 1.0).mean() == 0.5
+    assert PiecewiseLinearDensity(((0.0, 0.0), (1.0, 2.0))).mean() == pytest.approx(2.0 / 3.0)
+    assert TruncatedBeta(2.0, 6.0).mean() == pytest.approx(0.25)
 
 
 def test_interval_mass_examples():
@@ -99,7 +92,7 @@ def test_empirical_mean_within_four_standard_errors():
     for i, dist in enumerate(ALL_DISTS):
         draws = sample(dist, substream(100, i), size=1_000_000)
         se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - mean(dist)) < 4 * max(se, 1e-9), dist
+        assert abs(draws.mean() - dist.mean()) < 4 * max(se, 1e-9), dist
 
 
 def test_nondelegator_mean_examples():
@@ -107,7 +100,7 @@ def test_nondelegator_mean_examples():
     assert nondelegator_mean(u, LinearQ(1.0, 1.0)) == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert nondelegator_mean(u, LinearQ(0.8, 0.8)) == pytest.approx(11.0 / 18.0, abs=1e-9)
     for dist in ALL_DISTS:
-        assert nondelegator_mean(dist, LinearQ(0.0, 0.0)) == pytest.approx(mean(dist), abs=1e-8)
+        assert nondelegator_mean(dist, LinearQ(0.0, 0.0)) == pytest.approx(dist.mean(), abs=1e-8)
 
 
 def test_nondelegator_mean_degenerate():
@@ -120,14 +113,14 @@ def test_nondelegator_mean_exceeds_mean_for_decreasing_q():
     qs = [LinearQ(1.0, 1.0), LinearQ(0.8, 0.8), LinearQ(0.9, 0.5)]
     for dist in ALL_DISTS:
         for q in qs:
-            assert nondelegator_mean(dist, q) > mean(dist)
+            assert nondelegator_mean(dist, q) > dist.mean()
 
 
 def test_quantile_inverts_cdf():
     for dist in ALL_DISTS:
         for q in (0.1, 0.25, 0.5, 0.9):
-            x = quantile(dist, q)
-            assert float(cdf(dist, x)) == pytest.approx(q, abs=1e-9)
+            x = dist.quantile(q)
+            assert float(dist.cdf(x)) == pytest.approx(q, abs=1e-9)
 
 
 @pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 0.5)])
@@ -139,17 +132,17 @@ def test_truncated_beta_queries_equal_scipy_special(a, b):
     with np.errstate(divide="ignore"):
         density = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - special.betaln(a, b))
     density[~np.isfinite(density)] = 0.0
-    assert np.array_equal(pdf(dist, x), density)
-    assert np.array_equal(cdf(dist, x), special.betainc(a, b, x))
+    assert np.array_equal(dist.pdf(x), density)
+    assert np.array_equal(dist.cdf(x), special.betainc(a, b, x))
     for q in (0.0, 1e-9, 0.1, 0.5, 0.9, 1.0):
-        assert quantile(dist, q) == float(special.betaincinv(a, b, q))
+        assert dist.quantile(q) == float(special.betaincinv(a, b, q))
 
 
 def test_piecewise_sampler_matches_cdf():
     dist = PiecewiseLinearDensity(((0.0, 1.0), (0.4, 3.0), (1.0, 0.2)))
     draws = sample(dist, substream(11), size=200_000)
     for x in (0.2, 0.4, 0.7):
-        assert abs(np.mean(draws <= x) - float(cdf(dist, x))) < 0.005
+        assert abs(np.mean(draws <= x) - float(dist.cdf(x))) < 0.005
 
 
 def test_validation_errors():
@@ -165,9 +158,17 @@ def test_validation_errors():
         PiecewiseLinearDensity(((0.0, 1.0), (0.0, 1.0)))
 
 
-def test_config_roundtrip():
-    for dist in ALL_DISTS:
-        assert from_config(to_config(dist)) == dist
-    assert from_config({"kind": "uniform", "lo": 0.0, "hi": 0.98}) == Uniform(0.0, 0.98)
-    with pytest.raises(ValueError):
-        from_config({"kind": "gaussian"})
+def test_from_config_reads_every_kind():
+    documents = [
+        ({"kind": "uniform", "lo": 0.0, "hi": 0.98}, Uniform(0.0, 0.98)),
+        ({"kind": "truncated_beta", "a": 2, "b": 3}, TruncatedBeta(2.0, 3.0)),
+        ({"kind": "beta", "a": 0.5, "b": 1.5}, TruncatedBeta(0.5, 1.5)),
+        (
+            {"kind": "piecewise_linear_density", "knots": [[0.0, 1.0], [0.4, 3.0], [1.0, 0.2]]},
+            PiecewiseLinearDensity(((0.0, 1.0), (0.4, 3.0), (1.0, 0.2))),
+        ),
+    ]
+    for document, dist in documents:
+        assert from_config(KINDS, document, "distribution") == dist
+    with pytest.raises(ValueError, match="field 'distribution.kind'"):
+        from_config(KINDS, {"kind": "gaussian"}, "distribution")

@@ -19,7 +19,6 @@ from fluiddem import (
     Uniform,
     Upward,
     compute_weights,
-    mean,
     normalize_phi,
     substream,
 )
@@ -32,10 +31,6 @@ from fluiddem.harness import (
     ExperimentConfig,
     MonteCarloGainMode,
     config_from_dict,
-    default_delta_exponent,
-    _phi_y_moment,
-    estimate_lift_constant,
-    gc_lift_constant,
     run_condition_experiment,
     run_gain_sweep,
     run_scaling_study,
@@ -44,6 +39,7 @@ from fluiddem.harness import (
     run_sixstep_experiment,
     write_csv,
 )
+from fluiddem.mechanisms import gc_lift_constant, phi_y_moment
 from fluiddem.tally import MAX_TOTAL_WEIGHT
 
 UNIT = Uniform(0.0, 1.0)
@@ -68,22 +64,20 @@ def make_config(**overrides):
 
 
 def test_lift_constant_confidence_based():
-    mu, mu_star, alpha = estimate_lift_constant(ConfidenceBased(LinearQ(1.0, 1.0)), UNIT)
-    assert mu == pytest.approx(0.5)
+    mu_star, alpha = ConfidenceBased(LinearQ(1.0, 1.0)).lift(UNIT)
     assert mu_star == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert alpha == pytest.approx(1.0 / 36.0, abs=1e-9)
 
 
 def test_lift_constant_flat_phi_flags_degenerate():
     with pytest.warns(RuntimeWarning):
-        mu, c, alpha = estimate_lift_constant(GeneralContinuous(0.3, Constant1()), UNIT)
-    assert mu == pytest.approx(0.5)
+        c, alpha = GeneralContinuous(0.3, Constant1()).lift(UNIT)
     assert c == 0.0
     assert alpha == 0.0
 
 
 def test_lift_constant_affine_phi():
-    mu, c, alpha = estimate_lift_constant(GeneralContinuous(0.3, AffineInY(1.0, 2.0)), UNIT)
+    c, alpha = GeneralContinuous(0.3, AffineInY(1.0, 2.0)).lift(UNIT)
     assert c == pytest.approx(1.0 / 12.0, abs=1e-9)
     assert alpha == pytest.approx(c * 0.3 / 4.0, abs=1e-9)
 
@@ -100,7 +94,7 @@ def test_tabulated_lift_constant_is_the_grid_row_minimum(phi, dist):
     phi_n = normalize_phi(phi, dist)
     c = gc_lift_constant(phi_n, dist)
     xs = np.union1d(np.linspace(0.0, 1.0, 101), phi._xs)
-    oracle = np.array([_phi_y_moment(phi_n, dist, x) for x in xs.tolist()]) - mean(dist)
+    oracle = np.array([phi_y_moment(phi_n, dist, x) for x in xs.tolist()]) - dist.mean()
     assert c <= oracle.min() + 1e-12
     assert abs(c - oracle[np.isin(xs, phi._xs)].min()) <= 1e-12
 
@@ -114,15 +108,14 @@ def test_benchmark_grid_lift_constant_is_exact():
 
 def test_lift_constant_upward_closed_form():
     d_eta = Uniform(0.0, 0.98)
-    mu, gap, alpha = estimate_lift_constant(Upward(0.5), d_eta)
-    assert mu == pytest.approx(0.49)
+    gap, alpha = Upward(0.5).lift(d_eta)
     assert gap == pytest.approx(0.49 - 0.245)
     assert alpha == pytest.approx(0.5 * 0.25 * 0.5 * gap / 8.0)
 
 
 def test_lift_constant_rejects_flat_q():
     with pytest.raises(ValueError):
-        estimate_lift_constant(ConfidenceBased(ConstantQ(0.4)), UNIT)
+        ConfidenceBased(ConstantQ(0.4)).lift(UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +133,9 @@ def test_config_validation():
         make_config(mechanism=Upward(0.5), delta_exponent=0.5)
     cfg = make_config(mechanism=Upward(0.5), delta_exponent=0.95)
     assert cfg.max_weight_bound(10_000) == pytest.approx(10_000**0.95)
-    assert 0.9375 < default_delta_exponent(0.5) < 1.0
+    assert Upward(0.5).delta_floor == 0.9375
+    default = make_config(mechanism=Upward(0.5)).max_weight_bound(10_000)
+    assert default == pytest.approx(10_000 ** ((0.9375 + 1.0) / 2.0))
 
 
 def test_config_from_dict_names_bad_fields():

@@ -18,41 +18,41 @@ from fluiddem import (
     TruncatedBeta,
     Uniform,
     Upward,
-    delegation_probability,
     normalize_phi,
-    pair_weight,
-    phi_bounds,
 )
 from fluiddem.mechanisms import (
+    MECHANISM_KINDS,
+    PHI_KINDS,
+    Q_KINDS,
     NotStrictlyPositiveError,
+    PiecewiseLinearQ,
     RowNormalizedPhi,
     from_config,
     phi_mean_in_y,
-    to_config,
 )
 
 UNIT = Uniform(0.0, 1.0)
 
 
 def test_delegation_probability_examples():
-    assert delegation_probability(Upward(0.5), 0.9) == 0.5
-    assert delegation_probability(ConfidenceBased(LinearQ(1.0, 1.0)), 1.0) == 0.0
-    assert delegation_probability(GeneralContinuous(0.3, ExpInY(1.0)), 0.2) == 0.3
+    assert Upward(0.5).q(0.9) == 0.5
+    assert ConfidenceBased(LinearQ(1.0, 1.0)).q(1.0) == 0.0
+    assert GeneralContinuous(0.3, ExpInY(1.0)).q(0.2) == 0.3
 
 
 def test_delegation_probability_constant_in_x_for_upward():
     xs = np.linspace(0.0, 1.0, 50)
-    assert np.all(delegation_probability(Upward(0.25), xs) == 0.25)
+    assert np.all(Upward(0.25).q(xs) == 0.25)
 
 
 def test_pair_weight_examples():
     up = Upward(0.4)
-    assert pair_weight(up, 0.4, 0.6) == 1.0
-    assert pair_weight(up, 0.6, 0.4) == 0.0
+    assert up.phi(0.4, 0.6) == 1.0
+    assert up.phi(0.6, 0.4) == 0.0
     cb = ConfidenceBased(LinearQ(1.0, 1.0))
-    assert np.all(pair_weight(cb, np.array([0.1, 0.9]), np.array([0.8, 0.2])) == 1.0)
+    assert np.all(cb.phi(np.array([0.1, 0.9]), np.array([0.8, 0.2])) == 1.0)
     gc = GeneralContinuous(0.3, AffineInY(1.0, 2.0))
-    assert pair_weight(gc, 0.1, 0.5) == pytest.approx(2.0)
+    assert gc.phi(0.1, 0.5) == pytest.approx(2.0)
 
 
 def test_mechanism_validation():
@@ -105,22 +105,21 @@ def test_normalize_phi_preserves_target_law():
 
 
 def test_phi_bounds_examples():
-    assert phi_bounds(Constant1()) == (1.0, 1.0)
-    assert phi_bounds(AffineInY(1.0, 2.0)) == (1.0, 3.0)
-    lo, hi = phi_bounds(ExpInY(1.0))
+    assert Constant1().bounds() == (1.0, 1.0)
+    assert AffineInY(1.0, 2.0).bounds() == (1.0, 3.0)
+    lo, hi = ExpInY(1.0).bounds()
     assert lo == pytest.approx(1.0)
     assert hi == pytest.approx(math.e)
-    assert phi_bounds(Indicator()) == (0.0, 1.0)  # exempt from the positivity error
+    assert Indicator().bounds() == (0.0, 1.0)  # exempt from the positivity error
     with pytest.raises(NotStrictlyPositiveError):
-        phi_bounds(TabulatedPhi(((0.0, 1.0), (1.0, 2.0))))
+        TabulatedPhi(((0.0, 1.0), (1.0, 2.0))).bounds()
 
 
 def test_pair_weight_increasing_in_y_on_grid():
     xs = np.linspace(0.0, 1.0, 100)
     ys = np.linspace(0.0, 1.0, 100)
     for phi in (AffineInY(1.0, 2.0), ExpInY(1.3), TabulatedPhi(((1.0, 2.0), (1.5, 4.0)))):
-        mech = GeneralContinuous(0.3, phi)
-        grid = pair_weight(mech, xs[:, None], ys[None, :])
+        grid = GeneralContinuous(0.3, phi).phi(xs[:, None], ys[None, :])
         assert np.all(np.diff(grid, axis=1) >= 0.0)
 
 
@@ -139,18 +138,94 @@ def test_tabulated_validation():
         TabulatedPhi(((1.0,),))
 
 
-def test_config_roundtrip():
-    for mech in (
-        Upward(0.5),
+TABLE = [[1.0, 2.0], [1.5, 4.0]]
+UNIFORM_DOC = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+Q_DOCUMENTS = [
+    ({"kind": "constant", "p": 0.4}, ConstantQ(0.4)),
+    ({"kind": "linear", "a": 1, "b": 1.0}, LinearQ(1.0, 1.0)),
+    (
+        {"kind": "piecewise_linear", "knots": [[0.0, 0.9], [0.5, 0.4], [1.0, 0.1]]},
+        PiecewiseLinearQ(((0.0, 0.9), (0.5, 0.4), (1.0, 0.1))),
+    ),
+]
+PHI_DOCUMENTS = [
+    ({"kind": "indicator"}, Indicator()),
+    ({"kind": "constant1"}, Constant1()),
+    ({"kind": "affine_in_y", "c0": 1, "c1": 2.0}, AffineInY(1.0, 2.0)),
+    ({"kind": "exp_in_y", "lambda": 1.5}, ExpInY(1.5, 1.0)),  # scale defaults to 1
+    ({"kind": "exp_in_y", "lambda": 1.5, "scale": 0.5}, ExpInY(1.5, 0.5)),
+    ({"kind": "tabulated", "values": TABLE}, TabulatedPhi(((1.0, 2.0), (1.5, 4.0)))),
+]
+MECHANISM_DOCUMENTS = [
+    ({"kind": "upward", "p": 0.5}, Upward(0.5)),
+    (
+        {"kind": "confidence", "q": {"kind": "linear", "a": 1.0, "b": 1.0}},
         ConfidenceBased(LinearQ(1.0, 1.0)),
+    ),
+    (
+        {"kind": "general", "p": 0.3, "phi": {"kind": "exp_in_y", "lambda": 1.0}},
         GeneralContinuous(0.3, ExpInY(1.0)),
-        GeneralContinuous(0.4, TabulatedPhi(((1.0, 2.0), (1.5, 4.0)))),
-    ):
-        assert from_config(to_config(mech)) == mech
-    mech = from_config({"kind": "confidence", "q": {"kind": "linear", "a": 1.0, "b": 1.0}})
-    assert mech == ConfidenceBased(LinearQ(1.0, 1.0))
-    with pytest.raises(ValueError):
-        from_config({"kind": "dictatorship"})
+    ),
+]
+
+
+DOCUMENTS = (
+    [(Q_KINDS, *case) for case in Q_DOCUMENTS]
+    + [(PHI_KINDS, *case) for case in PHI_DOCUMENTS]
+    + [(MECHANISM_KINDS, *case) for case in MECHANISM_DOCUMENTS]
+)
+
+
+@pytest.mark.parametrize(
+    "kinds, document, expected", DOCUMENTS, ids=[document["kind"] for _, document, _ in DOCUMENTS]
+)
+def test_from_config_reads_every_kind(kinds, document, expected):
+    assert from_config(kinds, document, "field") == expected
+
+
+def test_from_config_reads_nested_row_normalized_phi():
+    document = {
+        "kind": "general",
+        "p": 0.4,
+        "phi": {
+            "kind": "row_normalized",
+            "base": {
+                "kind": "row_normalized",
+                "base": {"kind": "tabulated", "values": TABLE},
+                "distribution": UNIFORM_DOC,
+            },
+            "distribution": {"kind": "beta", "a": 2.0, "b": 3.0},
+        },
+    }
+    mech = from_config(MECHANISM_KINDS, document, "mechanism")
+    assert mech.p == 0.4
+    assert mech.phi.base == TabulatedPhi(((1.0, 2.0), (1.5, 4.0)))  # the nested base is flattened
+    assert mech.phi.dist == TruncatedBeta(2.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "kinds, document, message",
+    [
+        (MECHANISM_KINDS, {"kind": "dictatorship"}, "field 'mechanism.kind': unknown kind 'dictatorship'"),
+        (MECHANISM_KINDS, {"p": 0.5}, "field 'mechanism': must be an object with a 'kind' field"),
+        (MECHANISM_KINDS, {"kind": "upward"}, "field 'mechanism.p': missing"),
+        (MECHANISM_KINDS, {"kind": "upward", "p": 1.5}, "field 'mechanism': Upward requires p in (0, 1)"),
+        (PHI_KINDS, {"kind": "exp_in_y", "lambda": math.nan}, "field 'mechanism.lambda': must be finite"),
+        (
+            Q_KINDS,
+            {"kind": "piecewise_linear", "knots": [[0, 1], [math.inf, 0]]},
+            "field 'mechanism.knots': must be finite",
+        ),
+        (Q_KINDS, {"kind": "linear", "a": [1.0], "b": 1.0}, "field 'mechanism.a': float() argument"),
+        (PHI_KINDS, {"kind": "tabulated", "values": 2.0}, "field 'mechanism.values': "),
+        (PHI_KINDS, {"kind": "tabulated", "values": [1.0, 2.0]}, "field 'mechanism.values': "),
+        (Q_KINDS, {"kind": "piecewise_linear", "knots": [[0, 1, 2], [1, 0, 0]]}, "field 'mechanism': "),
+    ],
+)
+def test_from_config_errors_name_the_field(kinds, document, message):
+    with pytest.raises(ValueError) as info:
+        from_config(kinds, document, "mechanism")
+    assert str(info.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,17 @@ from fluiddem import (
     TabulatedPhi,
     TruncatedBeta,
     Uniform,
+    Upward,
     normalize_phi,
     sample,
     substream,
 )
 from fluiddem.delegation_graph import sample_graph
 from fluiddem.harness import builtin_bucket_configs
-from fluiddem.mechanisms import RowNormalizedPhi, phi_x_knots
+from fluiddem.mechanisms import RowNormalizedPhi
 from fluiddem.processes import (
     BucketModel,
     _bucket_sup_table,
-    _pair_weight_row_sums,
     build_bucket_model,
     expected_w,
     simulate_delegation_branching,
@@ -271,8 +271,16 @@ def test_delegation_branching_general_continuous_marginal():
 def test_pair_weight_row_sums_match_block(phi, n):
     # ties: competencies from a coarse set holding 0, 1 and every grid line
     p_vec = substream(19, n).choice(np.linspace(0.0, 1.0, 13), size=n)
-    got = _pair_weight_row_sums(GeneralContinuous(0.4, phi), p_vec)
+    got = GeneralContinuous(0.4, phi).phi.row_sums(p_vec)
     np.testing.assert_allclose(got, block_row_sums(phi, p_vec), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mech", [Upward(0.5), ConfidenceBased(ConstantQ(0.4))], ids=["upward", "confidence"])
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_rank_and_uniform_row_sums_match_block(mech, n):
+    # the indicator's sums are the rank counts; ties in p count as not greater
+    p_vec = substream(23, n).choice(np.linspace(0.0, 1.0, 13), size=n)
+    assert np.array_equal(mech.phi.row_sums(p_vec), block_row_sums(mech.phi, p_vec))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +387,7 @@ PEAKED_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (2.0, 3.0, 5.0), (1.5, 2.0, 2.5), (
 
 def _dense_sup_table(phi, boundaries):
     """Max of phi(x, upper bound of t') over 2,001 x per bucket plus its inner grid lines."""
-    knots = np.asarray(phi_x_knots(phi))
+    knots = np.asarray(phi.x_knots)
     rows = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         xs = np.concatenate([np.linspace(lo, hi, 2001), knots[(knots > lo) & (knots < hi)]])

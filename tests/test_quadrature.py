@@ -10,9 +10,8 @@ from fluiddem import (
     Uniform,
     quadrature,
 )
-from fluiddem.distributions import _breakpoints, expectation, nondelegator_mean, pdf
-from fluiddem.harness import _phi_y_moment
-from fluiddem.mechanisms import phi_mean_in_y, phi_y_knots
+from fluiddem.distributions import expectation, nondelegator_mean
+from fluiddem.mechanisms import phi_mean_in_y, phi_y_moment
 from fluiddem.quadrature import gauss_legendre, integrate
 
 BENCH_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
@@ -57,14 +56,14 @@ def test_phi_mean_in_y_matches_adaptive_simpson(dist, fallbacks):
     # must stay on the Gauss–Legendre path
     xs = np.array([0.0, 0.2, 0.5, 0.77, 1.0])
     means = phi_mean_in_y(BENCH_GRID, dist, xs)
-    moments = _phi_y_moment(BENCH_GRID, dist, xs)
+    moments = phi_y_moment(BENCH_GRID, dist, xs)
     assert fallbacks == []
     oracle = [simpson_phi_mean_in_y(BENCH_GRID, dist, float(x)) for x in xs]
     np.testing.assert_allclose(means, oracle, rtol=1e-12, atol=0.0)
-    breaks = {*_breakpoints(dist), *phi_y_knots(BENCH_GRID)}
+    breaks = {*dist.breakpoints(), *BENCH_GRID.y_knots}
     for x, moment in zip(xs.tolist(), moments):
         def integrand(y):
-            return float(BENCH_GRID(x, y)) * y * float(pdf(dist, y))
+            return float(BENCH_GRID(x, y)) * y * float(dist.pdf(y))
 
         assert moment == pytest.approx(simpson_integrate(integrand, 0, 1, 1e-11, breaks), rel=1e-12)
     assert phi_mean_in_y(BENCH_GRID, dist, 0.77) == pytest.approx(means[3], rel=1e-15)
@@ -74,8 +73,8 @@ def test_phi_mean_in_y_matches_adaptive_simpson(dist, fallbacks):
 def test_expectation_matches_adaptive_simpson(dist, fallbacks):
     got = expectation(dist, lambda x: np.exp(x) * x)
     assert fallbacks == []
-    breaks = _breakpoints(dist)
-    oracle = simpson_integrate(lambda x: np.exp(x) * x * float(pdf(dist, x)), 0, 1, 1e-10, breaks)
+    breaks = dist.breakpoints()
+    oracle = simpson_integrate(lambda x: np.exp(x) * x * float(dist.pdf(x)), 0, 1, 1e-10, breaks)
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
@@ -97,7 +96,7 @@ def test_endpoint_singularity_takes_the_adaptive_fallback(fallbacks):
     dist = TruncatedBeta(0.5, 0.5)
     got = expectation(dist, lambda x: x)
     assert fallbacks == [(0.0, 1.0)]
-    assert got == pytest.approx(simpson_integrate(lambda x: x * float(pdf(dist, x)), 0, 1, 1e-10))
+    assert got == pytest.approx(simpson_integrate(lambda x: x * float(dist.pdf(x)), 0, 1, 1e-10))
     assert got == pytest.approx(0.5, abs=1e-7)
 
 

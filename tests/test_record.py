@@ -111,4 +111,4 @@ def test_cached_properties_still_cache():
     assert "dels" not in vars(profile)
     assert profile.dels is profile.dels and profile.dels.tolist() == [2, 1, 0, 0]
     phi = RowNormalizedPhi(ExpInY(1.0), UNIT)
-    assert phi._row_means is phi._row_means
+    assert phi._means is phi._means
