@@ -238,6 +238,12 @@ def test_sixstep_command(tmp_path):
     assert len(lines) == 4
 
 
+def test_sixstep_rejects_wrong_mechanism(tmp_path, capsys):
+    cfg = write_config(tmp_path, GAIN_CONFIG)
+    assert main(["sixstep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert "mechanism" in capsys.readouterr().err
+
+
 def test_processes_command_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, BUCKET_CONFIG)
     assert main(["processes", "--config", cfg]) == 0
