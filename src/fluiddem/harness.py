@@ -127,7 +127,8 @@ class ExperimentConfig(Record):
 
 
 def _integer(value) -> int:
-    """value as an int; a float must be integral (1e4 is 10000, 2.5 is an error)."""
+    """A finite JSON number as an int; a float must be integral (1e4 is 10000, 2.5 is an error)."""
+    finite(value)
     number = int(value)
     if number != value:
         raise ValueError(f"{value!r} is not an integer")

@@ -544,7 +544,9 @@ _NESTED = {"q": Q_KINDS, "phi": PHI_KINDS, "base": PHI_KINDS, "dist": distributi
 
 
 def finite(value) -> float:
-    """float(value), refusing NaN and the infinities that JSON documents may hold."""
+    """float(value) of a JSON number, refusing strings, booleans, NaN and the infinities."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"must be a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"must be finite, got {value!r}")

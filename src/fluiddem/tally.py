@@ -8,25 +8,24 @@ The exact path multiplies the voters' probability generating polynomials
 (1 - p_i) + p_i x^{w_i} in a product tree (Biscarri, Zhao & Brunner, CSDA
 122, 2018). Voters with p_i in {0, 1} stay out of it, so degenerate instances
 give exact 0.0 and 1.0; the rest are grouped by weight and padded with p = 0
-to blocks of BLOCK. A coefficient-major direct stage gives each block's
-count pmf, and batched FFT levels multiply a group's blocks pairwise, keeping
-only each product's Hoeffding window (JASA 1963): the totals within
-mu_S +- sqrt(sum_S w_i^2 ln(2/EPS) / 2) of a set S hold all but EPS of its
-mass. The group pmfs, dilated by their weights, are multiplied pairwise, each
-product on the cyclic lattice of its own window.
+to blocks of BLOCK. A coefficient-major direct stage gives each block's count
+pmf; then one kernel, `_products`, multiplies up to K pmfs per FFT product on
+the cyclic lattice of the product's Hoeffding window (JASA 1963): the totals
+within mu_S +- sqrt(sum_S w_i^2 ln(2/EPS) / 2) of a set S hold all but EPS of
+its mass. It builds each weight group's pmf from its blocks (four stages for
+a direct tail at n = 20,000: 625 blocks, then 79, 10 and 2 pmfs) and folds the
+G group pmfs, dilated by their weights, into the total in ceil(log_K G) stages.
 
 Fewer than n windows each drop or wrap in at most EPS = 1e-30 of mass, so a
 tail moves by less than 1e-24 at n = 1e6, and a threshold outside the final
 window (11,815 totals for a direct tail at n = 1e6) gives exactly 0.0 or 1.0.
-Against the dynamic program `dp_tail` of the tests' helpers, the round-off
-of a tail was at most 4.1e-14 on random weighted instances at n = 20,000, and
-3.6e-15, 9.1e-15 and 1.5e-14 at n = 2e4, 5e4 and 1e5 on confidence and upward
-graphs under Uniform(0, 1) (direct tail; fluid tails at n/2 and at the mean).
-The tests pin it at 1e-12 up to n = 50,000.
+Against `dp_tail`, the tests' dynamic program, the round-off was at most 2.2e-14
+on random weighted instances at n = 20,000 and 1.1e-14 on confidence and upward
+graphs up to n = 1e5; the tests pin it at 1e-12 up to n = 50,000.
 
-MAX_TOTAL_WEIGHT = 1e7 keeps one instance's tallies under 1 GB: the working set is
-about 57 bytes per voter (tracemalloc peaks at n = 1e6: 54.4 MiB for `direct_tail`,
-28 and 24 MiB for fluid tails at the mean of confidence and upward graphs).
+MAX_TOTAL_WEIGHT = 1e7 keeps one instance's tallies under 1 GB: about 57 bytes per
+voter, reached before the first product stage (tracemalloc at n = 1e6: 54.4 MiB for
+`direct_tail`, 28 and 24 MiB for fluid tails at the mean of confidence and upward graphs).
 
 The Monte Carlo path samples full vote vectors and reports Hoeffding
 confidence intervals.
@@ -39,7 +38,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .delegation_graph import DelegationGraph, compute_weights
 from .record import Record
@@ -48,6 +46,8 @@ MAX_TOTAL_WEIGHT = 10_000_000
 BLOCK = 32  # leaves per block of the direct levels
 MC_CHUNK = 1_000_000  # uniforms per Monte Carlo chunk: 8 MB, and 8 MB of float votes for `votes @ w`
 EPS = 1e-30  # mass a window may leave out
+K = 8  # rows multiplied per product
+CHUNK = 1.5  # lattice cells per input value that one batched transform may hold
 
 
 class GainReport(Record):
@@ -56,22 +56,12 @@ class GainReport(Record):
     p_direct: float
     p_fluid: float
     gain: float
-    method: str  # "exact" | "brute_force" | "monte_carlo"
+    method: str  # "exact" | "monte_carlo"
     ci_halfwidth: Optional[float] = None
     reps: Optional[int] = None
 
     def to_json(self) -> str:
-        payload = {
-            "p_direct": self.p_direct,
-            "p_fluid": self.p_fluid,
-            "gain": self.gain,
-            "method": self.method,
-        }
-        if self.ci_halfwidth is not None:
-            payload["ci_halfwidth"] = self.ci_halfwidth
-        if self.reps is not None:
-            payload["reps"] = self.reps
-        return json.dumps(payload)
+        return json.dumps({f: v for f, v in zip(self._fields, self._values()) if v is not None})
 
 
 def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +78,7 @@ def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:
     w = w.astype(np.int64, copy=False)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative integers")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN included
         raise ValueError("probs must lie in [0, 1]")
     total = int(w.sum())
     if total > MAX_TOTAL_WEIGHT:
@@ -99,7 +89,7 @@ def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:
 def _window(mean, spread, lo, hi):
     """The totals in [lo, hi] within mean +- t, t = sqrt(spread ln(2/EPS) / 2), as integer bounds."""
     t = np.sqrt(spread * (math.log(2.0 / EPS) / 2.0))
-    return np.clip([np.floor(mean - t), np.ceil(mean + t)], lo, hi).astype(np.int64)
+    return np.maximum(np.floor(mean - t), lo).astype(np.int64), np.minimum(np.ceil(mean + t), hi).astype(np.int64)
 
 
 def _block_pmfs(leaves: np.ndarray) -> np.ndarray:
@@ -119,60 +109,70 @@ def _block_pmfs(leaves: np.ndarray) -> np.ndarray:
     return c[:, 0]
 
 
-def _run_products(rows, count, mean, left):
-    """Windowed products of runs of rows: run g is left[g] rows, row r the pmf of
-    count[r] trials with mean mean[r]. Each level multiplies all pairs in one
-    FFT product, wrapping only totals past each product's window onto it.
-    Yields (runs, offsets, rows, counts, means) as runs come down to one row."""
-    offset = np.zeros(len(rows), dtype=np.int64)
-    runs = np.arange(len(left))
-    while True:
-        first = np.cumsum(left) - left
-        done = left == 1
-        yield runs[done], offset[first[done]], rows[first[done]], count[first[done]], mean[first[done]]
-        if done.all():
-            return
-        keep = np.repeat(~done, left)
-        rows, offset, count, mean = rows[keep], offset[keep], count[keep], mean[keep]
-        runs, left = runs[~done], left[~done]
-        half = (left + 1) // 2
-        k = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
-        a = np.repeat(np.cumsum(left) - left, half) + 2 * k
-        paired = 2 * k + 1 < np.repeat(left, half)
-        b = a + paired
-        offset = offset[a] + paired * offset[b]
-        count = count[a] + paired * count[b]
-        mean = mean[a] + paired * mean[b]
-        width = rows.shape[1]
-        lo, hi = _window(mean, count, offset, offset + 2 * width - 2)
-        start = lo - offset
-        kept = int((hi - lo).max()) + 1
-        nfft = 1 << (max(int(start.max()) + kept, width) - 1).bit_length()
-        # each level-sized array is dropped once used, which halves the peak
-        spectrum = np.fft.rfft(rows[a], nfft)
-        other = np.fft.rfft(rows[b], nfft)
-        del rows
-        other[~paired] = 1.0  # the spectrum of the polynomial 1
-        spectrum *= other
-        del other
-        product = np.fft.irfft(spectrum, nfft)
-        del spectrum
-        rows = sliding_window_view(product, kept, axis=1)[np.arange(len(start)), start]
-        del product
-        np.maximum(rows, 0.0, out=rows)  # FFT round-off below 0
-        offset, left = lo, half
+def _smooth(k: int) -> int:
+    """The smallest 2^a 3^b 5^c >= k, a length pocketfft transforms fast."""
+    best, p5 = 1 << (k - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best, p = min(best, p << (-(-k // p) - 1).bit_length()), 3 * p
+        p5 *= 5
+    return best
 
 
-def _folded_product(a, b):
-    """Product of two group pmfs (first total, pmf, mean, spread) on its window's cyclic lattice."""
-    (first_a, pmf_a, mean_a, spread_a), (first_b, pmf_b, mean_b, spread_b) = a, b
-    first = first_a + first_b
-    lo, hi = map(int, _window(mean_a + mean_b, spread_a + spread_b, first, first + len(pmf_a) + len(pmf_b) - 2))
-    size = 1 << (hi - lo).bit_length()
-    spectrum = np.fft.rfft(np.bincount((first_a + np.arange(len(pmf_a))) % size, pmf_a, size))
-    spectrum *= np.fft.rfft(np.bincount((first_b + np.arange(len(pmf_b))) % size, pmf_b, size))
-    pmf = np.fft.irfft(spectrum, size)[np.arange(lo, hi + 1) % size]
-    return lo, np.maximum(pmf, 0.0, out=pmf), mean_a + mean_b, spread_a + spread_b
+def _products(rows, runs):
+    """Windowed products of runs of consecutive rows, up to K rows per FFT product.
+
+    rows is (data, width, first, step, mean, spread): row r is the pmf over the
+    totals first[r] + j step[r], j < width[r], held in data[sum(width[:r]) + j],
+    and mean[r] and spread[r] (the sum of squared weights) set its window. Run g
+    is runs[g] rows, longest runs first. Each stage multiplies every group of up
+    to K consecutive rows of a run on the cyclic lattice of the group's window,
+    so that totals outside it wrap onto it, in chunks of about CHUNK lattice
+    cells per input value: one batched rfft, one product of each group's spectra
+    (groups padded with the polynomial 1) and one irfft. Returns one row per run.
+    """
+    data, width, first, step, mean, spread = rows
+    while runs[0] > 1:
+        active = runs[runs > 1]  # a prefix; the rows of finished runs follow unchanged
+        groups = -(-active // K)
+        size = np.full(groups.sum(), K)
+        size[np.cumsum(groups) - 1] = active - K * (groups - 1)
+        starts, end = np.cumsum(size) - size, int(active.sum())
+        offsets = np.cumsum(width[:end]) - width[:end]
+        sums = [np.add.reduceat(x[:end], starts) for x in (mean, spread, first, first + (width - 1) * step)]
+        lo, hi = _window(*sums)
+        kept = hi - lo + 1
+        base = first[:end] - offsets * step[:end]  # data[e] at lattice position e step + base, ...
+        base[starts] -= lo  # ... so that each window starts at position 0
+        pieces, g = [], 0
+        while g < len(starts):
+            # windows shrink along the runs, so the first group's sets the chunk
+            g_end = min(g + max(1, int(CHUNK * len(data) / (K * int(kept[g])))), len(starts))
+            r, r_end = starts[g], starts[g_end] if g_end < len(starts) else end
+            span, w, slots = kept[g:g_end], width[r:r_end], int(size[g:g_end].max())
+            length = _smooth(int(span.max()))
+            at = np.arange(offsets[r], offsets[r] + w.sum())
+            at *= np.repeat(step[r:r_end], w)
+            at += np.repeat(base[r:r_end], w)
+            at %= length
+            slot = np.arange(r, r_end) + np.repeat(slots * np.arange(g_end - g) - starts[g:g_end], size[g:g_end])
+            at += np.repeat(slot * length, w)
+            shape = (g_end - g, slots, length)
+            lattice = np.bincount(at, data[offsets[r] : offsets[r] + len(at)], math.prod(shape)).reshape(shape)
+            del at  # each chunk-sized array is dropped once used, for the peak
+            lattice[:, :, 0] += np.arange(slots) >= size[g:g_end, None]  # slots past a group: the polynomial 1
+            lattice = np.fft.rfft(lattice)  # its spectra, which replace it
+            product = np.fft.irfft(lattice.prod(axis=1), length)
+            del lattice
+            piece = product[:, : span.max()][np.arange(span.max()) < span[:, None]]
+            pieces.append(np.maximum(piece, 0.0, out=piece))  # FFT round-off below 0
+            g = g_end
+        data = np.concatenate([*pieces, data[offsets[-1] + width[end - 1] :]])
+        new = (kept, lo, np.ones_like(kept), *sums[:2])
+        width, first, step, mean, spread = (np.concatenate([a, b[end:]]) for a, b in zip(new, rows[1:]))
+        runs, rows = np.concatenate([groups, runs[len(active) :]]), (data, width, first, step, mean, spread)
+    return rows
 
 
 def weighted_poisson_binomial_tail(weights, probs, threshold: float) -> float:
@@ -190,27 +190,22 @@ def weighted_poisson_binomial_tail(weights, probs, threshold: float) -> float:
     kmin = math.floor(threshold - shift) + 1
     if not lo < kmin <= hi:
         return float(kmin <= lo)
+    # a run of blocks per weight, the largest weight groups first
     values, counts = np.unique(w, return_counts=True)
-    blocks = -(-counts // BLOCK)
-    pad = blocks * BLOCK - counts
+    blocks, order = -(-counts // BLOCK), np.argsort(-counts, kind="stable")
+    first_leaf = BLOCK * (np.cumsum(blocks[order]) - blocks[order])[np.argsort(order)]
     leaves = np.zeros((int(blocks.sum()), BLOCK))
-    slots = np.arange(len(p)) + np.repeat(np.cumsum(pad) - pad, counts)
+    slots = np.arange(len(p)) + np.repeat(first_leaf - (np.cumsum(counts) - counts), counts)
     leaves.ravel()[slots] = p[np.argsort(w, kind="stable")]
-    del w, p, slots  # as in `_run_products`, for the peak
-    rows = np.ascontiguousarray(_block_pmfs(leaves.T).T)
-    products = _run_products(rows, np.count_nonzero(leaves, axis=1), leaves.sum(axis=1), blocks)
-    del leaves, rows
-    pmfs = [None] * len(values)  # per group: first total, pmf over totals, mean, spread
-    for runs, offset, rows, count, mean in products:
-        for g, o, row, c, m in zip(runs.tolist(), offset.tolist(), rows, count.tolist(), mean.tolist()):
-            v, row = int(values[g]), row[: c - o + 1]  # no padding past c trials
-            dilated = np.zeros(v * (len(row) - 1) + 1)
-            dilated[::v] = row
-            pmfs[g] = (v * o, dilated, v * m, v * v * c)
-    while len(pmfs) > 1:
-        pmfs = [_folded_product(a, b) for a, b in zip(pmfs[0::2], pmfs[1::2])] + pmfs[len(pmfs) // 2 * 2 :]
-    first, pmf = pmfs[0][:2]
-    return min(math.fsum(pmf[max(kmin - first, 0) :].tolist()), 1.0)
+    del w, p, slots  # as in `_products`, for the peak
+    data, count = _block_pmfs(leaves.T).T, np.count_nonzero(leaves, axis=1)
+    data = data[np.arange(BLOCK + 1) <= count[:, None]]  # no padding past count trials
+    rows = data, count + 1, np.zeros_like(count), np.ones_like(count), leaves.sum(axis=1), count
+    del leaves, data
+    data, width, first, _, mean, spread = _products(rows, blocks[order])
+    v = values[order]  # the group pmfs, dilated by their weights, into the total
+    data, _, first, step, _, _ = _products((data, width, v * first, v, v * mean, v * v * spread), np.array([len(v)]))
+    return min(math.fsum(data[max(-((int(first[0]) - kmin) // int(step[0])), 0) :].tolist()), 1.0)
 
 
 def direct_tail(probs) -> float:
@@ -263,6 +258,8 @@ def monte_carlo_gain(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     p = np.asarray(competencies, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN included
+        raise ValueError("competencies must lie in [0, 1]")
     n = graph.n
     if weights is None:
         weights = compute_weights(graph).weight

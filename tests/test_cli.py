@@ -538,6 +538,11 @@ BAD_PARAMETERS = [
     ("processes", {**BUCKET_CONFIG, "phi": {"kind": "exp_in_y", "lambda": NAN}}, "phi.lambda"),
     ("processes", {**BUCKET_CONFIG, "phi": {"kind": "row_normalized", "base": TABULATED,
                    "distribution": {"kind": "uniform", "lo": 0.0}}}, "phi.distribution.hi"),
+    # numbers must be JSON numbers: no strings, no booleans
+    ("conditions", {"mechanism": {"kind": "upward", "p": "0.5"}}, "mechanism.p"),
+    ("simulate", _confidence({"kind": "linear", "a": True, "b": " 0.8 "}), "mechanism.q.a"),
+    ("gain", _confidence({"kind": "linear", "a": 0.8, "b": " 0.8 "}), "mechanism.q.b"),
+    ("gain", {"seed": True}, "seed"),
 ]
 
 

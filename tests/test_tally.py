@@ -19,7 +19,7 @@ from fluiddem import (
 from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights, sample_instance
 from fluiddem.distributions import Uniform
 from fluiddem.mechanisms import ConfidenceBased, LinearQ
-from fluiddem.tally import BLOCK, MAX_TOTAL_WEIGHT, MC_CHUNK, _block_pmfs, _window, hoeffding_halfwidth
+from fluiddem.tally import BLOCK, MAX_TOTAL_WEIGHT, MC_CHUNK, K, _block_pmfs, _window, hoeffding_halfwidth
 
 
 def graph_of(*out):
@@ -81,7 +81,8 @@ def test_block_pmfs_match_chained_convolve():
 
 @pytest.mark.parametrize(
     "n",
-    [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1, 1000, 20_000],
+    # the direct tail's one weight group of 1, K, K + 1 and K^2 + 1 blocks among them
+    [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1, K * BLOCK, K * BLOCK + 1, K * K * BLOCK + 1, 1000, 20_000],
 )
 def test_fft_tail_matches_dp(n):
     rng = substream(7, n)
@@ -100,7 +101,7 @@ def test_fft_tail_matches_dp(n):
             w[rng.integers(0, n, size=3)] = n // 3 + 1
         elif kind == "zero":
             w = np.zeros(n, dtype=np.int64)
-        elif kind == "distinct":  # weight groups of one or two voters, multiplied pairwise
+        elif kind == "distinct":  # more than K weight groups of one or two voters
             w = np.zeros(n, dtype=np.int64)
             w[rng.integers(0, n, size=40)] = rng.integers(1, n // 20 + 2, size=40)
         thresholds = (n / 2.0, float(w @ p), float(rng.integers(-1, w.sum() + 2)))
@@ -184,7 +185,26 @@ def test_tail_input_validation():
     with pytest.raises(ValueError):
         weighted_poisson_binomial_tail([1], [1.5], 0.5)
     with pytest.raises(ValueError):
+        weighted_poisson_binomial_tail([1, 1, 1], [np.nan, 0.6, 0.6], 1.5)
+    with pytest.raises(ValueError):
+        direct_tail([np.nan, 0.6, 0.6])
+    with pytest.raises(ValueError):
         weighted_poisson_binomial_tail([200_000_000], [0.5], 0.5)
+
+
+def test_direct_tail_peak_memory():
+    # about 57 bytes per voter of traced allocations at n = 2e5 (10.9 MiB), all before the
+    # first product stage, whose own peak is about 50.5; a stage holding one more n-word
+    # array (8 bytes per voter) breaks the bound
+    n = 200_000
+    p = substream(31, n).random(n)
+    tracemalloc.start()
+    try:
+        direct_tail(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 58 * n
 
 
 def test_exact_gain_no_edges_is_zero():
@@ -286,6 +306,9 @@ def test_monte_carlo_validation():
         monte_carlo_gain([0.5], graph_of(NO_EDGE), reps=0, delta=0.01, rng=substream(6))
     with pytest.raises(ValueError):
         monte_carlo_gain([0.5], graph_of(NO_EDGE), reps=10, delta=1.5, rng=substream(6))
+    for bad in (np.nan, 1.5, -0.5):
+        with pytest.raises(ValueError):
+            monte_carlo_gain([bad], graph_of(NO_EDGE), reps=10, delta=0.01, rng=substream(6))
 
 
 def test_gain_report_json():
