@@ -126,13 +126,13 @@ def _products(rows, runs):
     rows is (data, width, first, step, mean, spread): row r is the pmf over the
     totals first[r] + j step[r], j < width[r], held in data[sum(width[:r]) + j],
     and mean[r] and spread[r] (the sum of squared weights) set its window. Run g
-    is runs[g] rows, longest runs first. Each stage multiplies every group of up
-    to K consecutive rows of a run on the cyclic lattice of the group's window,
-    so that totals outside it wrap onto it, in chunks of about CHUNK lattice
-    cells per input value: one batched rfft, one product of each group's spectra
-    (groups padded with the polynomial 1) and one irfft. Returns one row per run.
+    is runs[g] rows, longest first. Each stage multiplies every group of up to K
+    consecutive rows of a run on the cyclic lattice of the group's window (totals
+    outside it wrap onto it), in chunks of about CHUNK cells per value of the
+    first stage's input: one batched rfft, one product of each group's spectra
+    (padded with the polynomial 1) and one irfft per chunk. One row per run back.
     """
-    data, width, first, step, mean, spread = rows
+    (data, width, first, step, mean, spread), budget = rows, CHUNK * len(rows[0])
     while runs[0] > 1:
         active = runs[runs > 1]  # a prefix; the rows of finished runs follow unchanged
         groups = -(-active // K)
@@ -148,7 +148,7 @@ def _products(rows, runs):
         pieces, g = [], 0
         while g < len(starts):
             # windows shrink along the runs, so the first group's sets the chunk
-            g_end = min(g + max(1, int(CHUNK * len(data) / (K * int(kept[g])))), len(starts))
+            g_end = min(g + max(1, int(budget / (K * int(kept[g])))), len(starts))
             r, r_end = starts[g], starts[g_end] if g_end < len(starts) else end
             span, w, slots = kept[g:g_end], width[r:r_end], int(size[g:g_end].max())
             length = _smooth(int(span.max()))
