@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, distributions, harness, mechanisms
+from . import __version__, harness, mechanisms
 # unused here, but perfbench/tracer.py wraps them by name on this module
 from .delegation_graph import sample_instance, to_edge_csv  # noqa: F401
 
@@ -123,42 +123,33 @@ def parse_args(argv) -> tuple[str, dict]:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except OSError as exc:
         raise ValueError(f"field 'config': cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"field 'config': {path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ValueError(f"field 'config': {path} must hold a JSON object")
+    return document
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _parse_sizes(text: str) -> list:
+    """The numbers of a --sizes override such as 500,1000, for the reader to check."""
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
+        return json.loads(f"[{text}]")
+    except json.JSONDecodeError as exc:
         raise ValueError(f"field 'sizes': cannot parse override {text!r}") from exc
 
 
 def _bucket_inputs(raw: dict):
+    """(phi normalized under the distribution, distribution, p, eps) of a bucket-model document.
+
+    It reads and checks the document but does not build the model.
+    """
     from . import processes  # only the processes command loads it
 
-    for required in ("phi", "distribution", "p", "eps"):
-        if required not in raw:
-            raise ValueError(f"field '{required}': missing")
-    phi = mechanisms.from_config(mechanisms.PHI_KINDS, raw["phi"], "phi")
-    dist = mechanisms.from_config(distributions.KINDS, raw["distribution"], "distribution")
-    p = mechanisms.parse_field("p", mechanisms.finite, raw["p"])
-    eps = mechanisms.parse_field("eps", mechanisms.finite, raw["eps"])
-    if not 0.0 < p < 1.0:
-        raise ValueError("field 'p': must be in (0, 1)")
-    if eps <= 0.0:
-        raise ValueError("field 'eps': must be positive")
-    factor = processes.subcriticality_factor(p, eps)
-    if not factor < 1.0:
-        raise ValueError(
-            f"field 'eps': p*(1+eps)^3/(1-2*eps) = {factor:.6g} >= 1; the model must be sub-critical"
-        )
-    if raw.get("normalize", True):
-        phi = mechanisms.normalize_phi(phi, dist)
-    return phi, dist, p, eps
+    doc = mechanisms.read_record(processes.BucketDocument, raw)
+    return mechanisms.normalize_phi(doc.phi, doc.distribution), doc.distribution, doc.p, doc.eps
 
 
 def _write_manifest(out_dir: Path, command: str, raw_config: dict, cfg_kv: dict, wall: float):
@@ -209,12 +200,12 @@ def _main(argv) -> int:
             bucket_inputs = _bucket_inputs(raw_config)
             cfg = None
         else:
-            cfg = harness.config_from_dict(raw_config)
+            document = dict(raw_config)  # the manifest records the file's own document
             if args["seed"] is not None:
-                cfg = cfg.replace(seed=args["seed"])
+                document["seed"] = args["seed"]
             if args["sizes"] is not None:
-                cfg = cfg.replace(sizes=_parse_sizes(args["sizes"]))
-            harness.check_command(command, cfg)
+                document["sizes"] = _parse_sizes(args["sizes"])
+            cfg = harness.check_command(command, harness.config_from_dict(document))
         threads = args["threads"]
         if threads < 1:
             raise ValueError(f"field 'threads': must be >= 1, got {threads}")

@@ -30,47 +30,24 @@ from typing import Optional, Union
 import numpy as np
 
 from . import distributions
-from .distributions import DistributionSpec, Uniform, TruncatedBeta, PiecewiseLinearDensity
+from .distributions import DistributionSpec
 from .delegation_graph import DelegationGraph, NO_EDGE, compute_weights, mixture_targets
 from .delegation_graph import sample_instance, to_edge_csv
 from .mechanisms import (
-    MECHANISM_KINDS,
-    AffineInY,
-    ConfidenceBased,
-    Constant1,
-    ExpInY,
     GeneralContinuous,
-    LinearQ,
     MechanismSpec,
-    Upward,
-    finite,
-    from_config,
     gc_lift_constant,
     normalize_phi,
-    parse_field,
+    read_record,
 )
 from .record import Record
 from .streams import substream
-from .tally import MAX_TOTAL_WEIGHT, exact_gain, hoeffding_halfwidth, monte_carlo_gain
+from .tally import MAX_TOTAL_WEIGHT, ExactGainMode, MonteCarloGainMode
+from .tally import exact_gain, hoeffding_halfwidth, monte_carlo_gain
 
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-class ExactGainMode(Record):
-    """Exact product-tree tallies (`tally.exact_gain`) at every size."""
-
-
-class MonteCarloGainMode(Record):
-    reps: int
-    delta: float
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("field 'gain_mode.reps': must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("field 'gain_mode.delta': must be in (0, 1)")
 
 
 GainMode = Union[ExactGainMode, MonteCarloGainMode]
@@ -90,7 +67,7 @@ class ExperimentConfig(Record):
     eps: float = 0.05  # slack parameter for the six-step diagnostics
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if not sizes:
             raise ValueError("field 'sizes': must be nonempty")
@@ -100,6 +77,8 @@ class ExperimentConfig(Record):
             raise ValueError("field 'sizes': must be strictly increasing")
         if self.reps_per_size < 1:
             raise ValueError("field 'reps_per_size': must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"field 'seed': must be >= 0, got {self.seed}")
         if not 0.0 < self.ci_delta < 1.0:
             raise ValueError("field 'ci_delta': must be in (0, 1)")
         if self.eps <= 0.0:
@@ -126,88 +105,9 @@ class ExperimentConfig(Record):
         return coeff * math.log(n)
 
 
-def _integer(value) -> int:
-    """A finite JSON number as an int; a float must be integral (1e4 is 10000, 2.5 is an error)."""
-    finite(value)
-    number = int(value)
-    if number != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return number
-
-
-def _sizes(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"must be a list of sizes, not {value!r}")
-    return tuple(_integer(n) for n in value)
-
-
-def _optional_float(obj: dict, name: str) -> Optional[float]:
-    value = obj.get(name)
-    return None if value is None else parse_field(name, finite, value)
-
-
 def config_from_dict(obj: dict) -> ExperimentConfig:
-    """Parse an experiment config document, naming the offending field on error."""
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    for required in ("mechanism", "distribution", "sizes", "reps_per_size", "seed"):
-        if required not in obj:
-            raise ValueError(f"field '{required}': missing")
-    gm_obj = obj.get("gain_mode", {"kind": "auto"})
-    kind = gm_obj.get("kind") if isinstance(gm_obj, dict) else None
-    # "auto" names the exact mode; both ignore 'cap', 'target_halfwidth' and
-    # 'delta', so configs written for the size-capped auto mode keep parsing
-    if kind in ("exact", "auto"):
-        gain_mode: GainMode = ExactGainMode()
-    elif kind == "monte_carlo":
-        gain_mode = MonteCarloGainMode(
-            parse_field("gain_mode.reps", _integer, gm_obj.get("reps")),
-            parse_field("gain_mode.delta", finite, gm_obj.get("delta")),
-        )
-    else:
-        raise ValueError("field 'gain_mode.kind': must be 'exact', 'monte_carlo' or 'auto'")
-    return ExperimentConfig(
-        mechanism=from_config(MECHANISM_KINDS, obj["mechanism"], "mechanism"),
-        distribution=from_config(distributions.KINDS, obj["distribution"], "distribution"),
-        sizes=parse_field("sizes", _sizes, obj["sizes"]),
-        reps_per_size=parse_field("reps_per_size", _integer, obj["reps_per_size"]),
-        seed=parse_field("seed", _integer, obj["seed"]),
-        delta_exponent=_optional_float(obj, "delta_exponent"),
-        log_coefficient=_optional_float(obj, "log_coefficient"),
-        alpha=_optional_float(obj, "alpha"),
-        gain_mode=gain_mode,
-        ci_delta=parse_field("ci_delta", finite, obj.get("ci_delta", 0.01)),
-        eps=parse_field("eps", finite, obj.get("eps", 0.05)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# built-in suite
-
-
-def default_mechanisms() -> dict[str, MechanismSpec]:
-    return {
-        "upward": Upward(0.5),
-        "confidence": ConfidenceBased(LinearQ(0.8, 0.8)),
-        "general": GeneralContinuous(0.3, AffineInY(1.0, 2.0)),
-    }
-
-
-def builtin_bucket_configs():
-    """(normalized phi, distribution, p, eps) tuples for the bucketized models."""
-    uniform = Uniform(0.0, 1.0)
-    narrowed = Uniform(0.0, 0.98)
-    bell = TruncatedBeta(2.0, 2.0)
-    ramp = PiecewiseLinearDensity(((0.0, 0.0), (1.0, 2.0)))
-    raw = [
-        (Constant1(), uniform, 0.5, 0.05),
-        (AffineInY(1.0, 2.0), uniform, 0.3, 0.05),
-        (ExpInY(1.0), uniform, 0.3, 0.05),
-        (AffineInY(1.0, 2.0), narrowed, 0.3, 0.05),
-        (ExpInY(0.5), bell, 0.4, 0.02),
-        (AffineInY(0.5, 1.0), ramp, 0.3, 0.05),
-    ]
-    return [(normalize_phi(phi, dist), dist, p, eps) for phi, dist, p, eps in raw]
+    """Read an experiment config document, naming the offending field on error."""
+    return read_record(ExperimentConfig, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +235,16 @@ def _run_share(fn, keys: list, writer, cpu: Optional[int]) -> None:
         os._exit(status)
 
 
-def check_command(command: str, cfg: ExperimentConfig) -> None:
-    """Refuse a config the command cannot run, before any instance is sampled.
+def check_command(command: str, cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg, checked for the command before any instance is sampled; conditions' alpha resolved.
 
     gain: sizes above tally.MAX_TOTAL_WEIGHT, in every gain mode (an instance
     of n voters has total weight at most n, so the limit bounds every exact
     tail the sweep computes). scaling: sizes spanning fewer than 2 decades.
-    sixstep: a mechanism other than kind 'general'.
+    sixstep: a mechanism other than kind 'general'. A size below 2 where the
+    run divides by ln n (scaling, and conditions fitting log_coefficient) or
+    needs two voters (sixstep). conditions: no alpha where the mechanism's
+    lift gives none; a missing alpha becomes the lift's.
     """
     if command == "gain" and max(cfg.sizes) > MAX_TOTAL_WEIGHT:
         raise ValueError(
@@ -351,6 +254,18 @@ def check_command(command: str, cfg: ExperimentConfig) -> None:
         raise ValueError("field 'sizes': a scaling study needs sizes spanning >= 2 decades")
     if command == "sixstep" and not cfg.mechanism.six_step:
         raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
+    divides_by_ln_n = command == "scaling" or (
+        command == "conditions" and cfg.mechanism.delta_floor is None and cfg.log_coefficient is None
+    )
+    if min(cfg.sizes) < 2 and (divides_by_ln_n or command == "sixstep"):
+        raise ValueError(f"field 'sizes': {command} needs every size >= 2, got {min(cfg.sizes)}")
+    if command == "conditions" and cfg.alpha is None:
+        try:
+            cfg = cfg.replace(alpha=cfg.mechanism.lift(cfg.distribution)[1])
+        except ValueError as exc:
+            message = f"field 'alpha': missing, and the mechanism's lift gives none: {exc}"
+            raise ValueError(message) from exc
+    return cfg
 
 
 def _fmt(value) -> str:
@@ -427,12 +342,6 @@ def _percentile(values: np.ndarray, q: float) -> float:
     return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
-def _resolve_alpha(cfg: ExperimentConfig) -> float:
-    if cfg.alpha is not None:
-        return cfg.alpha
-    return cfg.mechanism.lift(cfg.distribution)[1]
-
-
 def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConditionReport:
     """Empirical frequencies of the three sufficient conditions, per size.
 
@@ -445,7 +354,8 @@ def run_condition_experiment(cfg: ExperimentConfig, threads: int = 1) -> Conditi
     it is fitted at the smallest size as the 99.9th percentile of
     max_weight / ln n.
     """
-    alpha = _resolve_alpha(cfg)
+    cfg = check_command("conditions", cfg)
+    alpha = cfg.alpha
     log_bound = cfg.mechanism.delta_floor is None
     ci = hoeffding_halfwidth(cfg.reps_per_size, cfg.ci_delta)
     fitted: Optional[float] = cfg.log_coefficient

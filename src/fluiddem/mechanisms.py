@@ -16,7 +16,8 @@ Each class answers for its family: a mechanism draws its out-edges, states
 its lift constant, its max-weight bound's shape and whether the six-step
 sampler applies; a weight function gives its y-mean, normalization, bounds,
 grid-row mixture, knots and sampling base. One registry per family maps a
-config document's `kind` to its class, and `from_config` reads them all.
+config document's `kind` to its class, and `read_record` reads every config
+document by its fields' names, each nested one through `from_config`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from . import distributions
 from .delegation_graph import NO_EDGE, _count_greater, mixture_targets
 from .quadrature import integrate
 from .record import Record
+from .tally import GAIN_KINDS
 
 
 class NotStrictlyPositiveError(ValueError):
@@ -540,7 +542,9 @@ PHI_KINDS = {
 }
 MECHANISM_KINDS = {"upward": Upward, "confidence": ConfidenceBased, "general": GeneralContinuous}
 _KEYS = {"lam": "lambda", "dist": "distribution"}  # a field's document key, where they differ
-_NESTED = {"q": Q_KINDS, "phi": PHI_KINDS, "base": PHI_KINDS, "dist": distributions.KINDS}
+# the fields that hold a document of their own, and the registry of its kinds
+_NESTED = {"mechanism": MECHANISM_KINDS, "q": Q_KINDS, "phi": PHI_KINDS, "base": PHI_KINDS,
+           "dist": distributions.KINDS, "distribution": distributions.KINDS, "gain_mode": GAIN_KINDS}
 
 
 def finite(value) -> float:
@@ -553,13 +557,32 @@ def finite(value) -> float:
     return number
 
 
+def _integer(value) -> int:
+    """A finite JSON number as an int; a float must be integral (1e4 is 10000, 2.5 is an error)."""
+    number = int(finite(value))
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _integers(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list of integers, not {value!r}")
+    return tuple(map(_integer, value))
+
+
 def _rows(value) -> tuple:
     return tuple(tuple(map(finite, row)) for row in value)
 
 
+# how a field that is not a document is read; any other is a finite number
+_READERS = {"knots": _rows, "values": _rows, "sizes": _integers,
+            "seed": _integer, "reps_per_size": _integer, "reps": _integer}
+
+
 def parse_field(name: str, convert, value):
     """convert(value), naming the config field if it raises ValueError, KeyError,
-    TypeError or OverflowError (int of an infinite float)."""
+    TypeError or OverflowError (float of an integer beyond the float range)."""
     try:
         return convert(value)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -567,27 +590,40 @@ def parse_field(name: str, convert, value):
 
 
 def from_config(kinds: dict, obj, path: str):
-    """The class kinds[obj['kind']] built from the document's other fields.
-
-    Numbers must be finite, knots and values are lists of rows of them, and
-    the q/phi/base/distribution fields are documents of their own family. A
-    missing field takes its default, if it has one. Every error is a
-    ValueError that names the field's path, e.g. 'mechanism.phi.lambda'.
-    """
+    """The class kinds[obj['kind']] read from the document's other fields by read_record."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"field '{path}': must be an object with a 'kind' field")
     cls = kinds.get(obj["kind"]) if isinstance(obj["kind"], str) else None
     if cls is None:
         raise ValueError(f"field '{path}.kind': unknown kind {obj['kind']!r}")
+    return read_record(cls, obj, path)
+
+
+def read_record(cls, obj, path: str = ""):
+    """The Record class cls built from the document obj, the one reader of every config.
+
+    Each field is read by its name: mechanism, q, phi, base, distribution and
+    gain_mode are documents of their own family; knots and values are lists of
+    rows of numbers; sizes is a list of integers; seed, reps_per_size and reps
+    are integers (1e4 is 10000, 2.5 is an error); any other field is a number.
+    Numbers must be finite, and no string or boolean is one. A missing field
+    takes its default, if it has one; null stands for the default only where
+    that default is None. Every error is a ValueError naming the field's path,
+    e.g. 'mechanism.phi.lambda'; path is '' for a whole config document, whose
+    own checks name their fields.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"field '{path or 'config'}': must be a JSON object")
     values = {}
     for name in cls._fields:
         key = _KEYS.get(name, name)
-        if key not in obj:
-            if name not in cls._defaults:
-                raise ValueError(f"field '{path}.{key}': missing")
-        elif name in _NESTED:
-            values[name] = from_config(_NESTED[name], obj[key], f"{path}.{key}")
-        else:
-            read = _rows if name in ("knots", "values") else finite
-            values[name] = parse_field(f"{path}.{key}", read, obj[key])
-    return parse_field(path, lambda fields: cls(**fields), values)
+        where = f"{path}.{key}" if path else key
+        null_default = name in cls._defaults and cls._defaults[name] is None
+        if key in obj and not (obj[key] is None and null_default):
+            if name in _NESTED:
+                values[name] = from_config(_NESTED[name], obj[key], where)
+            else:
+                values[name] = parse_field(where, _READERS.get(name, finite), obj[key])
+        elif name not in cls._defaults:
+            raise ValueError(f"field '{where}': missing")
+    return parse_field(path, lambda fields: cls(**fields), values) if path else cls(**values)

@@ -21,6 +21,7 @@ from collections import deque
 import numpy as np
 
 from .delegation_graph import NO_EDGE, forest_roots
+from .distributions import DistributionSpec
 from .mechanisms import MechanismSpec, PairWeight, phi_mean_in_y
 from .record import Record
 
@@ -214,6 +215,32 @@ def subcriticality_factor(p: float, eps: float) -> float:
     return p * (1.0 + eps) ** 3 / (1.0 - 2.0 * eps)
 
 
+def check_bucket_parameters(p: float, eps: float) -> None:
+    """Refuse p outside (0, 1), eps <= 0 and a dominating process that is not sub-critical."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("field 'p': must be in (0, 1)")
+    if eps <= 0.0:
+        raise ValueError("field 'eps': must be positive")
+    factor = subcriticality_factor(p, eps)
+    if not factor < 1.0:
+        raise ValueError(
+            f"field 'eps': p*(1+eps)^3/(1-2*eps) = {factor:.6g} >= 1; the model must be sub-critical"
+        )
+
+
+class BucketDocument(Record):
+    """The `processes` command's config: a phi, which the command normalizes
+    under the distribution before bucketing, and the model's p and eps."""
+
+    phi: PairWeight
+    distribution: DistributionSpec
+    p: float
+    eps: float
+
+    def __post_init__(self):
+        check_bucket_parameters(self.p, self.eps)
+
+
 def _grid_modulus(phi: PairWeight, B: int) -> float:
     """Largest phi variation within any square of side 1/B, on a half-step lattice."""
     lattice = np.linspace(0.0, 1.0, 2 * B + 1)
@@ -243,18 +270,12 @@ def _bucket_sup_table(phi: PairWeight, boundaries: np.ndarray) -> np.ndarray:
 def build_bucket_model(phi: PairWeight, dist, p: float, eps: float) -> BucketModel:
     """Bucketize a normalized phi into a sub-critical multi-type Poisson model.
 
-    Requires eps > 0 with p*(1+eps)^3/(1-2*eps) < 1, and phi with unit
-    y-mean under dist (see normalize_phi). The bucket count B doubles until
-    the grid-estimated modulus of continuity over squares of side 1/B drops
-    to L*eps, where [L, U] are the bounds of phi.
+    Requires p in (0, 1), eps > 0 with p*(1+eps)^3/(1-2*eps) < 1, and phi
+    with unit y-mean under dist (see normalize_phi). The bucket count B
+    doubles until the grid-estimated modulus of continuity over squares of
+    side 1/B drops to L*eps, where [L, U] are the bounds of phi.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    factor = subcriticality_factor(p, eps)
-    if not factor < 1.0:
-        raise ValueError(
-            f"p*(1+eps)^3/(1-2*eps) = {factor:.6g} >= 1: the branching model would not be sub-critical"
-        )
+    check_bucket_parameters(p, eps)
     xs = np.linspace(0.0, 1.0, 21)
     for x, m in zip(xs, phi_mean_in_y(phi, dist, xs)):
         if abs(m - 1.0) > 1e-6:

@@ -3,7 +3,8 @@
 `integrate` applies Gauss–Legendre rules with N and 2N nodes (Golub & Welsch,
 Math. Comp. 1969) to every piece between breakpoints in one call of the
 integrand; a piece where the two disagree by more than its share of the
-tolerance falls back to adaptive Simpson, the tests' reference rule.
+tolerance, times the piece's integral where that exceeds 1 in size, falls
+back to adaptive Simpson, the tests' reference rule.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def integrate(
     vals = vals.reshape(-1, *ys.shape) * half
     est = vals[..., NODES:] @ wf
     per_piece = tol / len(half)
-    for i, j in zip(*np.nonzero(np.abs(vals[..., :NODES] @ wc - est) > per_piece)):
+    off = np.abs(vals[..., :NODES] @ wc - est) > per_piece * np.maximum(1.0, np.abs(est))
+    for i, j in zip(*np.nonzero(off)):
         entry = lambda t: float(np.asarray(f(np.array([t])), dtype=float).reshape(-1)[i])  # noqa: E731
         est[i, j] = adaptive_simpson(entry, pts[j], pts[j + 1], per_piece)
     return est.sum(axis=1).reshape(shape) if shape else float(est.sum())

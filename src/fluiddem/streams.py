@@ -9,12 +9,10 @@ worker scheduling.
 
 from __future__ import annotations
 
-import numpy as np
-
-RandomStream = np.random.Generator
+from numpy.random import Generator, Philox, SeedSequence
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> Generator:
     """Return an independent Philox generator keyed by (seed, *path)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    return Generator(Philox(ss))

@@ -28,7 +28,8 @@ voter, reached before the first product stage (tracemalloc at n = 1e6: 54.4 MiB 
 `direct_tail`, 28 and 24 MiB for fluid tails at the mean of confidence and upward graphs).
 
 The Monte Carlo path samples full vote vectors and reports Hoeffding
-confidence intervals.
+confidence intervals. A config's gain mode picks one of the two paths
+(GAIN_KINDS: `exact`, its alias `auto`, and `monte_carlo`).
 """
 
 from __future__ import annotations
@@ -62,6 +63,28 @@ class GainReport(Record):
 
     def to_json(self) -> str:
         return json.dumps({f: v for f, v in zip(self._fields, self._values()) if v is not None})
+
+
+class ExactGainMode(Record):
+    """Exact product-tree tallies (`exact_gain`) at every size."""
+
+
+class MonteCarloGainMode(Record):
+    """`monte_carlo_gain` with reps vote vectors per instance, at confidence 1 - delta."""
+
+    reps: int
+    delta: float
+
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
+
+
+# "auto" names the exact mode; both ignore 'cap', 'target_halfwidth' and
+# 'delta', so configs written for the size-capped auto mode keep parsing
+GAIN_KINDS = {"exact": ExactGainMode, "auto": ExactGainMode, "monte_carlo": MonteCarloGainMode}
 
 
 def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:

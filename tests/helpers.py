@@ -7,11 +7,18 @@ import numpy as np
 from scipy import stats as sps
 
 from fluiddem.delegation_graph import NO_EDGE, DelegationGraph, compute_weights
+from fluiddem.distributions import PiecewiseLinearDensity, TruncatedBeta, Uniform
 from fluiddem.mechanisms import (
     AffineInY,
+    ConfidenceBased,
     Constant1,
+    ExpInY,
+    GeneralContinuous,
     Indicator,
+    LinearQ,
     RowNormalizedPhi,
+    Upward,
+    normalize_phi,
     phi_mean_in_y,
 )
 from fluiddem.processes import simulate_graph_branching, simulate_multitype_poisson
@@ -19,6 +26,32 @@ from fluiddem.quadrature import adaptive_simpson
 from fluiddem.tally import GainReport, _check_tail_inputs
 
 BRUTE_FORCE_MAX_N = 20
+
+
+def default_mechanisms() -> dict:
+    """One mechanism of each family, as the acceptance tests run them."""
+    return {
+        "upward": Upward(0.5),
+        "confidence": ConfidenceBased(LinearQ(0.8, 0.8)),
+        "general": GeneralContinuous(0.3, AffineInY(1.0, 2.0)),
+    }
+
+
+def builtin_bucket_configs():
+    """(normalized phi, distribution, p, eps) tuples for the bucketized models."""
+    uniform = Uniform(0.0, 1.0)
+    narrowed = Uniform(0.0, 0.98)
+    bell = TruncatedBeta(2.0, 2.0)
+    ramp = PiecewiseLinearDensity(((0.0, 0.0), (1.0, 2.0)))
+    raw = [
+        (Constant1(), uniform, 0.5, 0.05),
+        (AffineInY(1.0, 2.0), uniform, 0.3, 0.05),
+        (ExpInY(1.0), uniform, 0.3, 0.05),
+        (AffineInY(1.0, 2.0), narrowed, 0.3, 0.05),
+        (ExpInY(0.5), bell, 0.4, 0.02),
+        (AffineInY(0.5, 1.0), ramp, 0.3, 0.05),
+    ]
+    return [(normalize_phi(phi, dist), dist, p, eps) for phi, dist, p, eps in raw]
 
 
 def pooled_chisq_pvalue(a, b, min_pooled: int = 20) -> float:

@@ -9,7 +9,13 @@ import time
 from statistics import NormalDist
 
 import numpy as np
-from helpers import brute_force_tail, component_sizes, pooled_chisq_pvalue
+from helpers import (
+    brute_force_tail,
+    builtin_bucket_configs,
+    component_sizes,
+    default_mechanisms,
+    pooled_chisq_pvalue,
+)
 from test_delegation_graph import naive_profile, random_functional_graphs
 
 from fluiddem import (
@@ -30,7 +36,6 @@ from fluiddem.distributions import expectation
 from fluiddem.harness import (
     ExactGainMode,
     ExperimentConfig,
-    builtin_bucket_configs,
     run_condition_experiment,
     run_gain_sweep,
     run_scaling_study,
@@ -219,8 +224,6 @@ def test_criterion_09_positive_gain_desk_scale():
 
 
 def test_criterion_10_do_no_harm_desk_scale():
-    from fluiddem.harness import default_mechanisms
-
     results = {}
     passed = True
     for name, mech in default_mechanisms().items():

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from helpers import csv_writer_edges
 
-from fluiddem import harness
-from fluiddem.cli import COMMANDS, FLAGS, main, parse_args
+from fluiddem import AffineInY, harness
+from fluiddem.cli import COMMANDS, FLAGS, _bucket_inputs, main, parse_args
 from fluiddem.delegation_graph import sample_instance
 from fluiddem.harness import config_from_dict
 from fluiddem.streams import substream
@@ -98,6 +98,9 @@ GAIN_TOO_BIG = f"field 'sizes': gain supports n <= {MAX_TOTAL_WEIGHT}"
 SCALING_TOO_NARROW = "field 'sizes': a scaling study needs sizes spanning >= 2 decades"
 SIXSTEP_NOT_GENERAL = "field 'mechanism': the sixstep experiment needs kind 'general'"
 AUTO_WITH_CAP = {"gain_mode": {"kind": "auto", "cap": 150}}
+NEGATIVE_SEED = "field 'seed': must be >= 0"
+GENERAL_CONSTANT1 = {"mechanism": {"kind": "general", "p": 0.3, "phi": {"kind": "constant1"}}}
+NO_LIFT = {"mechanism": {"kind": "confidence", "q": {"kind": "constant", "p": 0.3}}}
 
 
 @pytest.mark.parametrize(
@@ -107,8 +110,16 @@ AUTO_WITH_CAP = {"gain_mode": {"kind": "auto", "cap": 150}}
         ("gain", {"sizes": [100, MAX_TOTAL_WEIGHT + 1]}, [], GAIN_TOO_BIG),
         ("scaling", AUTO_WITH_CAP, ["--sizes", "100,9999"], SCALING_TOO_NARROW),
         ("sixstep", AUTO_WITH_CAP, [], SIXSTEP_NOT_GENERAL),
+        ("gain", {}, ["--seed", "-3"], NEGATIVE_SEED),
+        ("gain", {"seed": -1}, [], NEGATIVE_SEED),
+        ("scaling", {}, ["--sizes", "1,100"], "field 'sizes': scaling needs every size >= 2"),
+        # a coeff * ln n bound with no log_coefficient: the fit divides by ln n
+        ("conditions", {}, ["--sizes", "1,100"], "field 'sizes': conditions needs every size >= 2"),
+        ("sixstep", GENERAL_CONSTANT1, ["--sizes", "1"], "field 'sizes': sixstep needs every size >= 2"),
+        ("conditions", NO_LIFT, [], "field 'alpha': missing, and the mechanism's lift gives none"),
     ],
-    ids=["gain", "gain-config-sizes", "scaling", "sixstep"],
+    ids=["gain", "gain-config-sizes", "scaling", "sixstep", "gain-seed-override", "gain-config-seed",
+         "scaling-size-1", "conditions-size-1", "sixstep-size-1", "conditions-alpha-without-lift"],
 )
 def test_command_check_exits_one_before_sampling(
     tmp_path, capsys, monkeypatch, command, config, argv, message
@@ -159,6 +170,52 @@ def test_malformed_scalar_field_exits_one_naming_it(tmp_path, capsys, command, c
     err = capsys.readouterr().err
     assert f"error: field '{field}': " in err
     assert "Traceback" not in err
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_COMMANDS = {
+    "bucket_affine": ["processes"],
+    "conditions_upward": ["conditions"],
+    "gain_confidence": ["gain", "simulate"],
+    "scaling_confidence": ["scaling"],
+    "sixstep_general": ["sixstep"],
+}
+
+
+def _shipped_documents():
+    """(name, command, document) for every configs/*.json and both README examples."""
+    documents = []
+    for path in sorted((REPO / "configs").glob("*.json")):
+        for command in SHIPPED_COMMANDS[path.stem]:
+            documents.append((path.stem, command, json.loads(path.read_text())))
+    examples = REPO.joinpath("README.md").read_text().split("```json\n")[1:]
+    experiment, bucket = (json.loads(block.split("```")[0]) for block in examples)
+    documents += [("readme-experiment", "gain", experiment), ("readme-experiment", "conditions", experiment)]
+    documents.append(("readme-bucket", "processes", bucket))
+    return documents
+
+
+SHIPPED = _shipped_documents()
+
+
+@pytest.mark.parametrize("name, command, document", SHIPPED, ids=[f"{n}-{c}" for n, c, _ in SHIPPED])
+def test_shipped_documents_pass_validation(monkeypatch, name, command, document):
+    # the validation phase only: the reader, then check_command or _bucket_inputs
+    monkeypatch.setattr(harness, "sample_instance", None)
+    if command == "processes":
+        _, _, p, eps = _bucket_inputs(document)
+        assert p == document["p"] and eps == document["eps"]
+    else:
+        cfg = harness.check_command(command, config_from_dict(document))
+        assert list(cfg.sizes) == document["sizes"] and cfg.seed == document["seed"]
+        assert cfg.alpha is not None or command != "conditions"
+
+
+def test_bucket_document_phi_is_always_normalized():
+    # the undocumented 'normalize' field is gone: the reader ignores it like any other key
+    for extra in ({}, {"normalize": False}, {"normalize": "no"}):
+        phi, dist, _, _ = _bucket_inputs({**BUCKET_CONFIG, **extra})
+        assert phi == AffineInY(1.0, 2.0).normalized(dist)
 
 
 def test_conditions_and_scaling_commands(tmp_path):

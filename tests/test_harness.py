@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import default_mechanisms
 
 from fluiddem import (
     AffineInY,
@@ -353,8 +354,6 @@ def test_failed_fork_reaps_the_workers_already_forked(four_cpus, monkeypatch):
 
 
 def test_conditions_frequencies_nondecreasing_in_default_suite():
-    from fluiddem.harness import default_mechanisms
-
     for mech in default_mechanisms().values():
         cfg = make_config(mechanism=mech, sizes=(500, 1000, 2000), reps_per_size=40)
         report = run_condition_experiment(cfg)

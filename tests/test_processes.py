@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     QuadratureRowNormalizedPhi,
     block_row_sums,
+    builtin_bucket_configs,
     dels_of_root,
     grid_bucket_sup_table,
     pooled_chisq_pvalue,
@@ -29,7 +30,6 @@ from fluiddem import (
     substream,
 )
 from fluiddem.delegation_graph import sample_graph
-from fluiddem.harness import builtin_bucket_configs
 from fluiddem.mechanisms import RowNormalizedPhi
 from fluiddem.processes import (
     BucketModel,

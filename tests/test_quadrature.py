@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import simpson_integrate, simpson_phi_mean_in_y
 
 from fluiddem import (
+    ExpInY,
     LinearQ,
     PiecewiseLinearDensity,
     TabulatedPhi,
@@ -88,6 +91,15 @@ def test_nondelegator_mean_splits_at_the_clamp_kinks(fallbacks):
     den = simpson_integrate(lambda x: 1.0 - float(q(x)), 0, 1, 1e-12, kinks)
     assert got == pytest.approx(num / den, rel=1e-12)
     assert got == pytest.approx(35.0 / 48.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [10.0, 20.0])
+def test_large_integrands_agree_to_a_relative_tolerance(lam, fallbacks):
+    # the 16- and 32-node rules agree to about 1e-15 relative on integrals near
+    # 2.2e3 and 2.4e7: absolute differences far above the tolerance of 1e-12
+    got = phi_mean_in_y(ExpInY(lam), Uniform(0.0, 1.0), 0.0)
+    assert fallbacks == []
+    assert got == pytest.approx(math.expm1(lam) / lam, rel=1e-13, abs=0.0)
 
 
 def test_endpoint_singularity_takes_the_adaptive_fallback(fallbacks):
