@@ -34,13 +34,12 @@ M_MMAP_THRESHOLD = -3
 def _keep_freed_heap() -> None:
     """Fix glibc's malloc thresholds at the ceiling of its own adaptive rule.
 
-    glibc serves blocks above M_MMAP_THRESHOLD (128 KiB at start, raised only
-    as mapped blocks are freed) from fresh mappings and hands heap tops above
-    M_TRIM_THRESHOLD back to the kernel, so the tally's level-sized
-    temporaries fault in new pages on every call: about 600 minor faults
-    per exact_gain at n = 20,000 (October 2026, windowed tally), against 0
-    with the thresholds fixed at 32 MiB (the adaptive ceiling) and 64 MiB.
-    C libraries without mallopt are left alone.
+    glibc serves blocks above M_MMAP_THRESHOLD (128 KiB at start, raised only as mapped
+    blocks are freed) from fresh mappings and hands heap tops above M_TRIM_THRESHOLD back
+    to the kernel, so the tally's chunk lattices and spectra fault in new pages on every
+    call: 588 minor faults per exact_gain at n = 20,000 (multiway kernel, October 2026),
+    against 0 with the thresholds fixed at 32 MiB (the adaptive ceiling) and 64 MiB. The
+    heap keeps its largest tally's peak: 0.9 MiB at n = 20,000. Other C libraries: as is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -1,39 +1,38 @@
 """Exact and Monte Carlo tallies of correctness probabilities.
 
-Direct voting is correct when the number of correct votes strictly exceeds
-n/2; weighted fluid voting is correct when the weight-weighted correct votes
-strictly exceed n/2 (ties count as incorrect, which matters for even n).
+Direct voting is correct when the number of correct votes strictly exceeds n/2; weighted
+fluid voting is correct when the weight-weighted correct votes strictly exceed n/2 (ties
+count as incorrect, which matters for even n).
 
 The exact path multiplies the voters' probability generating polynomials
-(1 - p_i) + p_i x^{w_i} in a product tree (Biscarri, Zhao & Brunner, CSDA
-122, 2018). Voters with p_i in {0, 1} stay out of it, so degenerate instances
-give exact 0.0 and 1.0; the rest are grouped by weight and padded with p = 0
-to blocks of BLOCK. A coefficient-major direct stage gives each block's count
-pmf; then one kernel, `_products`, multiplies up to K pmfs per FFT product on
-the cyclic lattice of the product's Hoeffding window (JASA 1963): the totals
-within mu_S +- sqrt(sum_S w_i^2 ln(2/EPS) / 2) of a set S hold all but EPS of
-its mass. It builds each weight group's pmf from its blocks (four stages for
-a direct tail at n = 20,000: 625 blocks, then 79, 10 and 2 pmfs) and folds the
-G group pmfs, dilated by their weights, into the total in ceil(log_K G) stages.
+(1 - p_i) + p_i x^{w_i} in a product tree (Biscarri, Zhao & Brunner, CSDA 122, 2018).
+Voters with p_i in {0, 1} stay out of it, so degenerate instances give exact 0.0 and
+1.0; the rest are grouped by weight and padded with p = 0 to blocks of BLOCK, whose count
+pmfs a direct stage builds a trial at a time. One kernel, `_products`, multiplies up to
+K pmfs per FFT product on the cyclic lattice of the product's Hoeffding window (JASA
+1963): the totals within mu_S +- sqrt(sum_S w_i^2 ln(2/EPS) / 2) of a set S hold all but
+EPS of its mass. It builds each weight group's pmf from its blocks (four stages for a
+direct tail at n = 20,000: 625 blocks, then 79, 10 and 2 pmfs) and folds the G group
+pmfs, dilated by their weights, into the total in ceil(log_K G) stages. Fewer than n
+windows each drop or wrap in at most EPS = 1e-30 of mass, so a tail moves by less than
+1e-24 at n = 1e6, and a threshold outside the final window (11,815 totals for a direct
+tail at n = 1e6) gives exactly 0.0 or 1.0. Against `dp_tail`, the tests' dynamic
+program, the round-off was at most 1.9e-14 on random weighted instances at n = 20,000
+and 5.6e-15 on confidence and upward graphs up to n = 1e5; the tests pin it at 1e-12 up
+to n = 50,000.
 
-Fewer than n windows each drop or wrap in at most EPS = 1e-30 of mass, so a
-tail moves by less than 1e-24 at n = 1e6, and a threshold outside the final
-window (11,815 totals for a direct tail at n = 1e6) gives exactly 0.0 or 1.0.
-Against `dp_tail`, the tests' dynamic program, the round-off was at most 2.2e-14
-on random weighted instances at n = 20,000 and 1.1e-14 on confidence and upward
-graphs up to n = 1e5; the tests pin it at 1e-12 up to n = 50,000.
-
-MAX_TOTAL_WEIGHT = 1e7 keeps one instance's tallies under 1 GB: about 57 bytes per
-voter, reached before the first product stage (tracemalloc at n = 1e6: 54.4 MiB for
-`direct_tail`, 28 and 24 MiB for fluid tails at the mean of confidence and upward graphs).
-
-The Monte Carlo path samples full vote vectors and reports Hoeffding
-confidence intervals. A config's gain mode picks one of the two paths
-(GAIN_KINDS: `exact`, its alias `auto`, and `monte_carlo`).
+MAX_TOTAL_WEIGHT = 1e7 keeps one instance's tallies under 1 GB: about 47 bytes per voter
+from n = 1e5 on, reached in the first product stages (tracemalloc at n = 1e6: 45.0 MiB
+for `direct_tail`, 27.5 and 22.9 MiB for fluid tails at the mean of confidence and upward
+graphs); at small n the MIN_CELLS cells of a chunk, 0.5 MiB with spectra, set the peak.
+Monte Carlo tallies sample full vote vectors, with Hoeffding intervals; a config's gain
+mode picks a path (GAIN_KINDS: `exact`, its alias `auto`, `monte_carlo`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from typing import Optional
@@ -49,6 +48,8 @@ MC_CHUNK = 1_000_000  # uniforms per Monte Carlo chunk: 8 MB, and 8 MB of float 
 EPS = 1e-30  # mass a window may leave out
 K = 8  # rows multiplied per product
 CHUNK = 1.5  # lattice cells per input value that one batched transform may hold
+MIN_CELLS = 1 << 15  # lattice cells a chunk may hold whatever the input: a small tally's transforms in few calls
+PASS = 2048  # blocks per pass of the direct stage, whose 33 coefficient rows (528 KiB) stay in cache
 
 
 class GainReport(Record):
@@ -87,24 +88,23 @@ class MonteCarloGainMode(Record):
 GAIN_KINDS = {"exact": ExactGainMode, "auto": ExactGainMode, "monte_carlo": MonteCarloGainMode}
 
 
+def _check_probs(probs, name: str = "probs") -> np.ndarray:
+    p = np.asarray(probs, dtype=float)
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):  # NaN included
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return p
+
+
 def _check_tail_inputs(weights, probs) -> tuple[np.ndarray, np.ndarray]:
     """(weights as int64, probs as float) after the shared input checks."""
-    w = np.asarray(weights)
-    p = np.asarray(probs, dtype=float)
+    w, p = np.asarray(weights), _check_probs(probs)
     if w.shape != p.shape:
         raise ValueError("weights and probs must have equal length")
-    if not np.issubdtype(w.dtype, np.integer):
-        w_int = np.asarray(np.rint(w), dtype=np.int64)
-        if np.any(np.abs(w - w_int) > 0):
-            raise ValueError("weights must be nonnegative integers")
-        w = w_int
-    w = w.astype(np.int64, copy=False)
-    if np.any(w < 0):
+    integral = np.issubdtype(w.dtype, np.integer)
+    w, given = (w.astype(np.int64, copy=False) if integral else np.rint(w).astype(np.int64)), w
+    if w.size and (w.min() < 0 or not integral and np.any(w != given)):  # NaN included
         raise ValueError("weights must be nonnegative integers")
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN included
-        raise ValueError("probs must lie in [0, 1]")
-    total = int(w.sum())
-    if total > MAX_TOTAL_WEIGHT:
+    if (total := int(w.sum())) > MAX_TOTAL_WEIGHT:
         raise ValueError(f"total weight {total} exceeds supported maximum {MAX_TOTAL_WEIGHT}")
     return w, p
 
@@ -116,22 +116,24 @@ def _window(mean, spread, lo, hi):
 
 
 def _block_pmfs(leaves: np.ndarray) -> np.ndarray:
-    """Count pmfs of blocks of BLOCK Bernoulli trials: leaves[j, b] is trial j of block b.
+    """Count pmfs of blocks of BLOCK Bernoulli trials, leaves[j, b] trial j of block b, as rows.
 
-    Coefficient-major: row k of the result holds P[k successes] of every
-    block, and each level multiplies the first half of every block's
-    polynomials by the second half over rows that span all blocks.
+    The trials enter one at a time, over PASS blocks at once: pmf[k] <- (1 - p) pmf[k] + p pmf[k - 1].
     """
-    c = np.stack([1.0 - leaves, leaves])
-    while c.shape[1] > 1:
-        half = c.shape[1] // 2
-        out = np.zeros((2 * len(c) - 1, half, c.shape[2]))
-        for j, coef in enumerate(c[:, :half]):
-            out[j : j + len(c)] += coef * c[:, half:]
-        c = out
-    return c[:, 0]
+    out = np.empty((leaves.shape[1], BLOCK + 1))
+    for b in range(0, leaves.shape[1], PASS):
+        p = leaves[:, b : b + PASS]
+        q, moved, c = 1.0 - p, np.empty_like(p), np.zeros((BLOCK + 1, p.shape[1]))
+        c[0] = 1.0
+        for j in range(BLOCK):
+            np.multiply(c[: j + 1], p[j], out=moved[: j + 1])
+            c[: j + 1] *= q[j]
+            c[1 : j + 2] += moved[: j + 1]
+        out[b : b + PASS] = c.T
+    return out
 
 
+@functools.cache
 def _smooth(k: int) -> int:
     """The smallest 2^a 3^b 5^c >= k, a length pocketfft transforms fast."""
     best, p5 = 1 << (k - 1).bit_length(), 1
@@ -143,59 +145,104 @@ def _smooth(k: int) -> int:
     return best
 
 
-def _products(rows, runs):
-    """Windowed products of runs of consecutive rows, up to K rows per FFT product.
+def _products(rows, runs: list[int], budget: float):
+    """Windowed products of runs of consecutive rows, up to K rows per FFT product; one row per run back.
 
-    rows is (data, width, first, step, mean, spread): row r is the pmf over the
-    totals first[r] + j step[r], j < width[r], held in data[sum(width[:r]) + j],
-    and mean[r] and spread[r] (the sum of squared weights) set its window. Run g
-    is runs[g] rows, longest first. Each stage multiplies every group of up to K
-    consecutive rows of a run on the cyclic lattice of the group's window (totals
-    outside it wrap onto it), in chunks of about CHUNK cells per value of the
-    first stage's input: one batched rfft, one product of each group's spectra
-    (padded with the polynomial 1) and one irfft per chunk. One row per run back.
+    Row r is the pmf over the totals first[r] + j step[r], j < width[r], in data[r] (a 2-D array, zero
+    past width[r], or a list of rows); stats[:, r] is its (mean, spread, first, last), spread the sum of
+    squared weights, and mean and spread set its window. step is None for unit steps. Run g is runs[g]
+    rows, longest first. Each stage multiplies every group of up to K consecutive rows of a run on the
+    cyclic lattice of the group's window (totals outside it wrap onto it), about budget cells a chunk:
+    the rows zero-padded (or spread by their steps) to the lattice length in one rfft, each group's
+    spectra (padded with the polynomial 1) multiplied, one irfft, and each window read off its product.
     """
-    (data, width, first, step, mean, spread), budget = rows, CHUNK * len(rows[0])
+    data, width, step, stats = rows
+    done = []  # the rows of finished runs, which follow data's, each cut to its width
     while runs[0] > 1:
-        active = runs[runs > 1]  # a prefix; the rows of finished runs follow unchanged
-        groups = -(-active // K)
-        size = np.full(groups.sum(), K)
-        size[np.cumsum(groups) - 1] = active - K * (groups - 1)
-        starts, end = np.cumsum(size) - size, int(active.sum())
-        offsets = np.cumsum(width[:end]) - width[:end]
-        sums = [np.add.reduceat(x[:end], starts) for x in (mean, spread, first, first + (width - 1) * step)]
+        active = [a for a in runs if a > 1]  # a prefix; the rows of the others move to done
+        size = [min(K, a - i) for a in active for i in range(0, a, K)]
+        slots, end = max(size), sum(active)
+        short = [h for h, k in enumerate(size) if k < slots]  # groups of fewer rows than slots
+        done = [data[r][: width[r]].copy() for r in range(end, len(data))] + done
+        starts = list(itertools.accumulate(size, initial=0))
+        sums = np.add.reduceat(stats[:, :end], starts[:-1], axis=1)
         lo, hi = _window(*sums)
-        kept = hi - lo + 1
-        base = first[:end] - offsets * step[:end]  # data[e] at lattice position e step + base, ...
-        base[starts] -= lo  # ... so that each window starts at position 0
-        pieces, g = [], 0
-        while g < len(starts):
-            # windows shrink along the runs, so the first group's sets the chunk
-            g_end = min(g + max(1, int(budget / (K * int(kept[g])))), len(starts))
-            r, r_end = starts[g], starts[g_end] if g_end < len(starts) else end
-            span, w, slots = kept[g:g_end], width[r:r_end], int(size[g:g_end].max())
-            length = _smooth(int(span.max()))
-            at = np.arange(offsets[r], offsets[r] + w.sum())
-            at *= np.repeat(step[r:r_end], w)
-            at += np.repeat(base[r:r_end], w)
-            at %= length
-            slot = np.arange(r, r_end) + np.repeat(slots * np.arange(g_end - g) - starts[g:g_end], size[g:g_end])
-            at += np.repeat(slot * length, w)
-            shape = (g_end - g, slots, length)
-            lattice = np.bincount(at, data[offsets[r] : offsets[r] + len(at)], math.prod(shape)).reshape(shape)
-            del at  # each chunk-sized array is dropped once used, for the peak
-            lattice[:, :, 0] += np.arange(slots) >= size[g:g_end, None]  # slots past a group: the polynomial 1
-            lattice = np.fft.rfft(lattice)  # its spectra, which replace it
-            product = np.fft.irfft(lattice.prod(axis=1), length)
-            del lattice
-            piece = product[:, : span.max()][np.arange(span.max()) < span[:, None]]
-            pieces.append(np.maximum(piece, 0.0, out=piece))  # FFT round-off below 0
-            g = g_end
-        data = np.concatenate([*pieces, data[offsets[-1] + width[end - 1] :]])
-        new = (kept, lo, np.ones_like(kept), *sums[:2])
-        width, first, step, mean, spread = (np.concatenate([a, b[end:]]) for a, b in zip(new, rows[1:]))
-        runs, rows = np.concatenate([groups, runs[len(active) :]]), (data, width, first, step, mean, spread)
-    return rows
+        kept, shift = (hi - lo + 1).tolist(), lo - sums[2].astype(np.int64)  # window start less lowest total
+        new, g = np.zeros((len(size), max(kept))), 0
+        while g < len(size):  # windows shrink along the runs, so a chunk's first group sets its size
+            a, g = g, min(g + max(1, int(budget / (slots * kept[g]))), len(size))
+            part, wide = data[starts[a] : starts[g]], max(width[starts[a] : starts[g]])
+            n = _smooth(max(*kept[a:g], wide))
+            lattice, slot = np.zeros(((g - a) * slots, n)), np.arange(len(part))
+            for h in (h for h in short if a <= h < g):  # its last slots hold the polynomial 1
+                slot[starts[h + 1] - starts[a] :] += slots - size[h]
+                lattice[(h - a) * slots + size[h] : (h - a + 1) * slots, 0] = 1.0
+            if step is None:
+                lattice[slot if len(part) < len(lattice) else slice(None), :wide] = part[:, :wide]
+            else:  # the fold's first stage: row i spread to every step[i]-th total, wrapped
+                for r, i in zip(slot.tolist(), range(starts[a], starts[g])):
+                    lattice[r] = np.bincount(np.arange(width[i]) * int(step[i]) % n, data[i][: width[i]], n)
+            spectra = np.fft.rfft(lattice)
+            del lattice  # each chunk-sized array is dropped once used, for the peak
+            # each group's window: a cyclic slice of its product, zero past the group's own width
+            span = max(kept[a:g])
+            product = np.empty((g - a, n + span))
+            np.fft.irfft(spectra.reshape(g - a, slots, -1).prod(axis=1), n, out=product[:, :n])
+            del spectra
+            product[:, n:] = product[:, :span]
+            windows = np.ndarray((g - a, n, span), float, product, 0, (product.strides[0], 8, 8))
+            piece = windows[range(g - a), shift[a:g] % n]
+            piece[np.arange(span) >= np.array(kept[a:g])[:, None]] = 0.0
+            np.maximum(piece, 0.0, out=new[a:g, :span])  # FFT round-off below 0
+        data, width, step = new, kept + width[end:], None
+        sums[2], sums[3] = lo, hi
+        stats = np.concatenate([sums, stats[:, end:]], axis=1)
+        runs = [-(-a // K) for a in active] + runs[len(active) :]
+    return [row[:w] for row, w in zip(data, width)] + done if done else data, width, step, stats
+
+
+def _tail(w: Optional[np.ndarray], p: np.ndarray, threshold: float) -> float:
+    """Exact P[sum_i w_i V_i > threshold] for checked inputs; unit weights when w is None."""
+    if w is None:
+        kmin = math.floor(threshold - int(np.count_nonzero(p == 1.0))) + 1
+        p = p[(p > 0.0) & (p < 1.0)]
+        mean, spread, total = float(p.sum()), float(len(p)), len(p)
+    else:
+        kmin = math.floor(threshold - int(w[p == 1.0].sum())) + 1
+        uncertain = np.flatnonzero((w > 0) & (p > 0.0) & (p < 1.0))  # take is faster than a mask
+        w, p, uncertain = w.take(uncertain), p.take(uncertain), None
+        mean, spread, total = float((w * p).sum()), float(w @ w), int(w.sum())
+    lo, hi = map(int, _window(mean, spread, 0, total))
+    if not lo < kmin <= hi:
+        return float(kmin <= lo)
+    # leaves[j, b] is trial j of block b: voter i of a weight group's c voters is trial
+    # i // blocks of block i % blocks of the group's, blocks = ceil(c / BLOCK); p = 0 pads
+    if w is None:  # one group, the voters in order
+        runs, weight, leaf = [-(-len(p) // BLOCK)], np.ones(1, dtype=np.int64), slice(len(p))
+    else:  # the largest weight groups first
+        key = np.sort(w * len(w) + np.arange(len(w)))  # by weight, then index: a stable argsort
+        w = key // len(w)
+        p, key = p.take(key - w * len(w)), None
+        starts = np.concatenate([[0], np.flatnonzero(w[1:] != w[:-1]) + 1])
+        counts = np.diff(starts, append=len(w))
+        rank, blocks = np.argsort(-counts, kind="stable"), -(-counts // BLOCK)
+        first_block = (np.cumsum(blocks[rank]) - blocks[rank])[np.argsort(rank)]
+        runs, weight = blocks[rank].tolist(), w[starts[rank]]
+        leaf = np.divmod(np.arange(len(p)) - np.repeat(starts, counts), np.repeat(blocks, counts))
+        leaf = leaf[0] * sum(runs) + leaf[1] + np.repeat(first_block, counts)  # (trial, block)
+    leaves = np.zeros((BLOCK, sum(runs)))
+    leaves.ravel()[leaf] = p
+    del w, p, leaf  # as in `_products`, for the peak
+    count = np.count_nonzero(leaves, axis=0)
+    stats = np.array([leaves.sum(axis=0), count, np.zeros_like(count), count], dtype=float)
+    data, leaves = _block_pmfs(leaves), None  # zeros past count trials
+    budget = max(CHUNK * data.size, MIN_CELLS)
+    data, width, _, stats = _products((data, (count + 1).tolist(), None, stats), runs, budget)
+    # the run pmfs, dilated by their weights, into the total
+    stats *= np.array([weight, weight * weight, weight, weight], dtype=float)
+    data, _, step, stats = _products((data, width, weight, stats), [len(weight)], budget)
+    first, step = int(stats[2, 0]), 1 if step is None else int(step[0])
+    return min(math.fsum(data[0][max(-((first - kmin) // step), 0) :].tolist()), 1.0)
 
 
 def weighted_poisson_binomial_tail(weights, probs, threshold: float) -> float:
@@ -205,39 +252,15 @@ def weighted_poisson_binomial_tail(weights, probs, threshold: float) -> float:
     add a fixed shift, so only the rest enter the pmf; see the module
     docstring for the product and its error bound.
     """
-    w, p = _check_tail_inputs(weights, probs)
-    shift = int(w[p == 1.0].sum())
-    uncertain = (w > 0) & (p > 0.0) & (p < 1.0)
-    w, p = w[uncertain], p[uncertain]
-    lo, hi = map(int, _window(float((w * p).sum()), float(w @ w), 0, int(w.sum())))
-    kmin = math.floor(threshold - shift) + 1
-    if not lo < kmin <= hi:
-        return float(kmin <= lo)
-    # a run of blocks per weight, the largest weight groups first
-    values, counts = np.unique(w, return_counts=True)
-    blocks, order = -(-counts // BLOCK), np.argsort(-counts, kind="stable")
-    first_leaf = BLOCK * (np.cumsum(blocks[order]) - blocks[order])[np.argsort(order)]
-    leaves = np.zeros((int(blocks.sum()), BLOCK))
-    slots = np.arange(len(p)) + np.repeat(first_leaf - (np.cumsum(counts) - counts), counts)
-    leaves.ravel()[slots] = p[np.argsort(w, kind="stable")]
-    del w, p, slots  # as in `_products`, for the peak
-    data, count = _block_pmfs(leaves.T).T, np.count_nonzero(leaves, axis=1)
-    data = data[np.arange(BLOCK + 1) <= count[:, None]]  # no padding past count trials
-    rows = data, count + 1, np.zeros_like(count), np.ones_like(count), leaves.sum(axis=1), count
-    del leaves, data
-    data, width, first, _, mean, spread = _products(rows, blocks[order])
-    v = values[order]  # the group pmfs, dilated by their weights, into the total
-    data, _, first, step, _, _ = _products((data, width, v * first, v, v * mean, v * v * spread), np.array([len(v)]))
-    return min(math.fsum(data[max(-((int(first[0]) - kmin) // int(step[0])), 0) :].tolist()), 1.0)
+    return _tail(*_check_tail_inputs(weights, probs), threshold)
 
 
 def direct_tail(probs) -> float:
-    """Exact P[number of correct votes > n/2] under direct voting."""
-    p = np.asarray(probs, dtype=float)
-    n = p.shape[0]
-    if n < 1:
+    """Exact P[number of correct votes > n/2] under direct voting: the unit-weight tail without a sort."""
+    p = _check_probs(probs)
+    if p.shape[0] < 1:
         raise ValueError("need at least one voter")
-    return weighted_poisson_binomial_tail(np.ones(n, dtype=np.int64), p, n / 2.0)
+    return _tail(None, p, p.shape[0] / 2.0)
 
 
 def exact_gain(competencies, graph: DelegationGraph, *, weights=None) -> GainReport:
@@ -247,11 +270,8 @@ def exact_gain(competencies, graph: DelegationGraph, *, weights=None) -> GainRep
     already; by default it is computed here.
     """
     p = np.asarray(competencies, dtype=float)
-    n = graph.n
-    if weights is None:
-        weights = compute_weights(graph).weight
-    p_fluid = weighted_poisson_binomial_tail(weights, p, n / 2.0)
-    p_direct = direct_tail(p)
+    weights = compute_weights(graph).weight if weights is None else weights
+    p_fluid, p_direct = weighted_poisson_binomial_tail(weights, p, graph.n / 2.0), direct_tail(p)
     return GainReport(p_direct=p_direct, p_fluid=p_fluid, gain=p_fluid - p_direct, method="exact")
 
 
@@ -261,13 +281,7 @@ def hoeffding_halfwidth(reps: int, delta: float) -> float:
 
 
 def monte_carlo_gain(
-    competencies,
-    graph: DelegationGraph,
-    reps: int,
-    delta: float,
-    rng: np.random.Generator,
-    *,
-    weights=None,
+    competencies, graph: DelegationGraph, reps: int, delta: float, rng: np.random.Generator, *, weights=None
 ) -> GainReport:
     """Estimate the gain by sampling full vote vectors.
 
@@ -276,37 +290,15 @@ def monte_carlo_gain(
     estimates, so a conservative interval for the gain is +- 2*ci_halfwidth.
     `weights` is as for `exact_gain`.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    p = np.asarray(competencies, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN included
-        raise ValueError("competencies must lie in [0, 1]")
-    n = graph.n
-    if weights is None:
-        weights = compute_weights(graph).weight
-    w = np.asarray(weights, dtype=np.float64)
-    half = n / 2.0
-
-    fluid_hits = 0
-    direct_hits = 0
-    done = 0
+    MonteCarloGainMode(reps, delta)  # the same checks
+    p, n = _check_probs(competencies, "competencies"), graph.n
+    w = np.asarray(compute_weights(graph).weight if weights is None else weights, dtype=np.float64)
+    direct_hits = fluid_hits = 0
     # rows of uniforms fill in order, so the chunking does not change the votes
     chunk = max(1, min(reps, MC_CHUNK // n))
-    while done < reps:
-        m = min(chunk, reps - done)
-        votes = rng.random((m, n)) < p
-        direct_hits += int(np.count_nonzero(votes.sum(axis=1) > half))
-        fluid_hits += int(np.count_nonzero(votes @ w > half))
-        done += m
-    p_direct = direct_hits / reps
-    p_fluid = fluid_hits / reps
-    return GainReport(
-        p_direct=p_direct,
-        p_fluid=p_fluid,
-        gain=p_fluid - p_direct,
-        method="monte_carlo",
-        ci_halfwidth=hoeffding_halfwidth(reps, delta),
-        reps=reps,
-    )
+    for done in range(0, reps, chunk):
+        votes = rng.random((min(chunk, reps - done), n)) < p
+        direct_hits += int(np.count_nonzero(votes.sum(axis=1) > n / 2.0))
+        fluid_hits += int(np.count_nonzero(votes @ w > n / 2.0))
+    p_direct, p_fluid = direct_hits / reps, fluid_hits / reps
+    return GainReport(p_direct, p_fluid, p_fluid - p_direct, "monte_carlo", hoeffding_halfwidth(reps, delta), reps)

@@ -102,6 +102,19 @@ def test_large_integrands_agree_to_a_relative_tolerance(lam, fallbacks):
     assert got == pytest.approx(math.expm1(lam) / lam, rel=1e-13, abs=0.0)
 
 
+def test_fallback_on_a_large_integrand_keeps_the_relative_tolerance(fallbacks, monkeypatch):
+    # near 1e20 the 16- and 32-node rules still disagree, so [0, 1] falls back to
+    # adaptive Simpson; asked for 1e-12 absolute there, it bisected to depth (10.5 s),
+    # while at the agreement check's 1e-12 relative it needs about 4,200 points
+    calls = []
+    call = ExpInY.__call__
+    monkeypatch.setattr(ExpInY, "__call__", lambda phi, x, y: calls.append(1) or call(phi, x, y))
+    got = phi_mean_in_y(ExpInY(50.0), Uniform(0.0, 1.0), 0.0)
+    assert fallbacks == [(0.0, 1.0)]
+    assert got == pytest.approx(math.expm1(50.0) / 50.0, rel=1e-12, abs=0.0)
+    assert len(calls) <= 10_000
+
+
 def test_endpoint_singularity_takes_the_adaptive_fallback(fallbacks):
     # the arcsine density 1/(pi sqrt(x(1-x))) is unbounded at both ends, so the
     # 16- and 32-node rules disagree and the piece goes to adaptive Simpson

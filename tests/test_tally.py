@@ -69,14 +69,14 @@ def test_block_pmfs_match_chained_convolve():
     leaves[:, 0] = 0.0
     leaves[:, 1] = 1.0
     pmfs = _block_pmfs(leaves)
-    assert pmfs.shape == (BLOCK + 1, 40)
-    for block, pmf in zip(leaves.T, pmfs.T):
+    assert pmfs.shape == (40, BLOCK + 1)
+    for block, pmf in zip(leaves.T, pmfs):
         want = np.ones(1)
         for p in block:
             want = np.convolve(want, [1.0 - p, p])
         np.testing.assert_allclose(pmf, want, rtol=0.0, atol=1e-15)
-    assert np.array_equal(pmfs[:, 0], np.eye(BLOCK + 1)[0])
-    assert np.array_equal(pmfs[:, 1], np.eye(BLOCK + 1)[-1])
+    assert np.array_equal(pmfs[0], np.eye(BLOCK + 1)[0])
+    assert np.array_equal(pmfs[1], np.eye(BLOCK + 1)[-1])
 
 
 @pytest.mark.parametrize(
@@ -111,6 +111,36 @@ def test_fft_tail_matches_dp(n):
     direct = direct_tail(p)
     assert direct == weighted_poisson_binomial_tail(np.ones(n, dtype=np.int64), p, n / 2.0)
     assert abs(direct - dp_tail(np.ones(n, dtype=np.int64), p, n / 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, K])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_direct_tail_matches_dp_around_whole_blocks(k, extra):
+    # BLOCK k + extra uncertain voters, padded to whole blocks, among certain ones;
+    # equal numbers of p = 0 and p = 1 keep n/2 inside the window
+    m = BLOCK * k + extra
+    rng = substream(41, m)
+    certain = m // 3 + 1
+    p = np.concatenate([rng.random(m), np.zeros(certain), np.ones(certain)])
+    p = p[rng.permutation(len(p))]
+    ones = np.ones(len(p), dtype=np.int64)
+    assert abs(direct_tail(p) - dp_tail(ones, p, len(p) / 2.0)) <= 1e-12
+    assert direct_tail(p) == weighted_poisson_binomial_tail(ones, p, len(p) / 2.0)
+
+
+def test_direct_tail_of_certain_voters_and_outside_the_window():
+    # every voter certain: the tail is the count of ones against n/2, exactly
+    for ones, zeros in ((3, 2), (2, 3), (2, 2), (40, 0), (0, 40)):
+        p = np.array([1.0] * ones + [0.0] * zeros)
+        assert direct_tail(p) == float(ones > len(p) / 2)
+    # 1,000 uncertain voters: 700 certain ones push n/2 below the window, 700 zeros above it
+    rng = substream(43)
+    u = rng.random(1_000)
+    for certain, want in ((1.0, 1.0), (0.0, 0.0)):
+        p = np.concatenate([u, np.full(700, certain)])
+        got = direct_tail(p)
+        assert got == want
+        assert abs(got - dp_tail(np.ones(len(p), dtype=np.int64), p, len(p) / 2.0)) <= 1e-12
 
 
 def test_fft_tail_matches_dp_on_a_confidence_graph():
@@ -193,14 +223,29 @@ def test_tail_input_validation():
 
 
 def test_direct_tail_peak_memory():
-    # about 57 bytes per voter of traced allocations at n = 2e5 (10.9 MiB), all before the
-    # first product stage, whose own peak is about 50.5; a stage holding one more n-word
-    # array (8 bytes per voter) breaks the bound
+    # about 47 bytes per voter of traced allocations at n = 2e5 (8.9 MiB), reached in the
+    # first product stages: the block pmfs, a stage's output and one chunk's lattice and
+    # spectra (57 before the stages read the block pmfs in place of a placement index)
     n = 200_000
     p = substream(31, n).random(n)
     tracemalloc.start()
     try:
         direct_tail(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 58 * n
+
+
+def test_exact_gain_peak_memory():
+    # gain-auto's per-instance call on a confidence graph, weights computed beforehand:
+    # about 47.5 bytes per voter at n = 2e5 (its fluid tail exits outside the window)
+    n = 200_000
+    p, graph = sample_instance(ConfidenceBased(LinearQ(0.8, 0.8)), Uniform(0.0, 1.0), n, substream(37, n))
+    weights = compute_weights(graph).weight
+    tracemalloc.start()
+    try:
+        exact_gain(p, graph, weights=weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -26,6 +26,24 @@ The output file keeps one entry per --label, so the same script run with
 PYTHONPATH pointing at another checkout's src adds that checkout's numbers
 beside this one's. Each entry records the environment and the git commit of
 the fluiddem it imported, and whether its files differ from that commit.
+--layers restricts a run to the named layers (and `import`, the start-up probe).
+
+An A/B comparison runs in one command:
+
+    PYTHONPATH=src python3 tools/bench_layers.py --against ../parent --processes 4 \
+        --layers direct_tail "exact_gain, confidence graph" --out BENCH_21.json
+
+It starts 2 x --processes fresh interpreters of this script, alternately
+(ABBA) with PYTHONPATH at this side's src and at PATH/src, each pinned to the
+last CPU of this process's affinity set where the platform allows, and
+writes their runs (change-1, parent-1, ...; --label renames this side) into
+a new --out file, with a `sides` entry per side (its src, the sha256 of its
+fluiddem sources and its git commit, null outside a checkout) and a `summary`: per
+layer and size, each side's range of per-process medians, the median of
+those medians, their ratio (this side over PATH's) and whether the two
+ranges overlap. Ranges that do not overlap mark a difference that the
+host's process-to-process spread does not explain.
+
 A size is skipped (recorded as null) when the layer's median at the previous
 size, scaled by the square of the size ratio, exceeds SKIP_ABOVE_S: an
 O(n^2) layer would run for hours at 1e6.
@@ -63,6 +81,7 @@ same 21 x, one call each.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -171,6 +190,13 @@ def _fluid_tail(at_mean):
     return prepare
 
 
+def _exact_gain(n, rng):
+    # gain-auto's per-instance call: the instance's weights come with it
+    p_vec, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
+    weight = compute_weights(graph).weight
+    return lambda: tally.exact_gain(p_vec, graph, weights=weight)
+
+
 def _monte_carlo(n, rng):
     p_vec, graph = sample_instance(CONFIDENCE, UNIT, n, rng)
     weight = compute_weights(graph).weight
@@ -213,6 +239,7 @@ LAYERS = {
     "direct_tail": _direct_tail,
     "fluid tail, confidence graph": _fluid_tail(at_mean=False),
     "fluid tail at its mean, confidence graph": _fluid_tail(at_mean=True),
+    "exact_gain, confidence graph": _exact_gain,
     f"monte_carlo_gain, {MC_REPS} reps": _monte_carlo,
     "to_edge_csv, confidence graph": _edge_csv,
     "simulate_simon_components": _simon,
@@ -374,11 +401,106 @@ def environment() -> dict:
     }
 
 
+def sources_sha256(src: Path) -> str:
+    """The sha256 of a src's fluiddem sources, which names a side that is no git checkout."""
+    digest = hashlib.sha256()
+    for path in sorted((src / "fluiddem").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def summarize(runs: dict, labels: tuple[str, str]) -> dict:
+    """Per layer and size: each side's range and median of per-process medians, their ratio, overlap."""
+    ours, theirs = labels
+    sample = next(iter(runs.values()))
+    keyed = [(key, layer) for key in ("median_ms", "fixed_ms") for layer in sample[key]]
+    summary = {}
+    for key, layer in keyed:
+        sizes = sample[key][layer] if key == "median_ms" else {"fixed": None}
+        for size in sizes:
+            per_side = {}
+            for label in labels:
+                values = [
+                    run[key][layer] if key == "fixed_ms" else run[key][layer][size]
+                    for name, run in runs.items()
+                    if name.rsplit("-", 1)[0] == label
+                ]
+                per_side[label] = [v for v in values if v is not None]
+            if not all(per_side.values()):
+                continue
+            low = {label: min(v) for label, v in per_side.items()}
+            high = {label: max(v) for label, v in per_side.items()}
+            mid = {label: statistics.median(v) for label, v in per_side.items()}
+            summary.setdefault(layer, {})[size] = {
+                **{f"{label}_range_ms": [low[label], high[label]] for label in labels},
+                **{f"{label}_median_ms": round(mid[label], 3) for label in labels},
+                "ratio": round(mid[ours] / mid[theirs], 3) if mid[theirs] else None,
+                "ranges_overlap": low[ours] <= high[theirs] and low[theirs] <= high[ours],
+            }
+    return summary
+
+
+def compare(args) -> int:
+    """Alternate --processes runs of this script per side and write them with their summary."""
+    here = Path(fluiddem.__file__).resolve().parents[1]
+    there = Path(args.against).resolve() / "src"
+    if not (there / "fluiddem").is_dir():
+        raise SystemExit(f"{there / 'fluiddem'} is not a directory")
+    sides = {args.label: here, "parent": there}
+    cpu = max(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    pin = (lambda: os.sched_setaffinity(0, {cpu})) if cpu is not None else None
+    runs, settings = {}, None
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(1, args.processes + 1):
+            order = list(sides.items()) if i % 2 else list(sides.items())[::-1]  # ABBA against drift
+            for label, src in order:
+                name, out = f"{label}-{i}", Path(tmp) / f"{label}-{i}.json"
+                command = [sys.executable, str(Path(__file__).resolve()), "--label", name, "--out", str(out)]
+                if args.layers:
+                    command += ["--layers", *args.layers]
+                print(f"{name}: PYTHONPATH={src}", file=sys.stderr, flush=True)
+                subprocess.run(command, env=dict(os.environ, PYTHONPATH=str(src)), check=True, preexec_fn=pin)
+                doc = json.loads(out.read_text())
+                runs[name], settings = doc["runs"][name], doc["settings"]
+    summary = summarize(runs, tuple(sides))
+    for layer, sizes in summary.items():
+        for size, row in sizes.items():
+            flag = "" if row["ranges_overlap"] else "  (ranges do not overlap)"
+            print(f"{layer} {size}: ratio {row['ratio']}{flag}", file=sys.stderr)
+    doc = {
+        "settings": {**settings, "processes": args.processes, "cpu": cpu},
+        "sides": {
+            label: {
+                "src": str(src),
+                "sha256": sources_sha256(src),
+                **{k: runs[f"{label}-1"]["environment"][k] for k in ("fluiddem_commit", "uncommitted_changes")},
+            }
+            for label, src in sides.items()
+        },
+        "summary": summary,
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="name of this run in the output file")
-    parser.add_argument("--out", required=True, help="JSON file to add the run to")
+    parser.add_argument("--label", help="name of this run in the output file (with --against: this side's)")
+    parser.add_argument("--out", required=True, help="JSON file to add the run to (with --against: to write)")
+    parser.add_argument(
+        "--layers", nargs="+", metavar="LAYER", choices=["import", *LAYERS, *FIXED_LAYERS],
+        help="only these layers, named as in the output file (`import`: the start-up probe)",
+    )
+    parser.add_argument("--against", metavar="PATH", help="a second checkout (or copy) to run alternately")
+    parser.add_argument("--processes", type=int, default=4, help="processes per side with --against")
     args = parser.parse_args(argv)
+    if args.against:
+        args.label = args.label or "change"
+        return compare(args)
+    if not args.label:
+        parser.error("--label is required without --against")
+    chosen = set(args.layers or ["import", *LAYERS, *FIXED_LAYERS])
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -390,18 +512,21 @@ def main(argv=None) -> int:
         "import_runs": IMPORT_RUNS,
         "unit": "ms",
     }
-    imported = time_import()
-    print(
-        f"import: {imported['median_ms']:.1f} ms, {imported['modules']} modules, "
-        f"fluiddem's own {imported['fluiddem_self_ms']:.1f} ms, "
-        f"dont_write_bytecode={imported['dont_write_bytecode']}; first conditions run of one voter: "
-        f"{imported['first_run_median_ms']:.2f} [{imported['first_run_p25_ms']:.2f}, "
-        f"{imported['first_run_p75_ms']:.2f}] ms, loading {imported['first_run_modules']}",
-        file=sys.stderr,
-    )
+    imported = time_import() if "import" in chosen else None
+    if imported:
+        print(
+            f"import: {imported['median_ms']:.1f} ms, {imported['modules']} modules, "
+            f"fluiddem's own {imported['fluiddem_self_ms']:.1f} ms, "
+            f"dont_write_bytecode={imported['dont_write_bytecode']}; first conditions run of one voter: "
+            f"{imported['first_run_median_ms']:.2f} [{imported['first_run_p25_ms']:.2f}, "
+            f"{imported['first_run_p75_ms']:.2f}] ms, loading {imported['first_run_modules']}",
+            file=sys.stderr,
+        )
     cli._keep_freed_heap()
     stats = {"p25_ms": {}, "median_ms": {}, "p75_ms": {}, "peak_bytes_per_voter": {}}
     for name, prepare in LAYERS.items():
+        if name not in chosen:
+            continue
         rows, last = [{}, {}, {}, {}], None
         for size_idx, n in enumerate(SIZES):
             if last is not None and last[1] / 1e3 * (n / last[0]) ** 2 > SKIP_ABOVE_S:
@@ -419,6 +544,8 @@ def main(argv=None) -> int:
             stats[key][name] = row
     fixed = {"fixed_p25_ms": {}, "fixed_ms": {}, "fixed_p75_ms": {}}
     for name, prepare in FIXED_LAYERS.items():
+        if name not in chosen:
+            continue
         timed = time_fixed_layer(prepare)
         for key, ms in zip(fixed, timed):
             fixed[key][name] = ms
