@@ -21,8 +21,8 @@ program, the round-off was at most 1.9e-14 on random weighted instances at n = 2
 and 5.6e-15 on confidence and upward graphs up to n = 1e5; the tests pin it at 1e-12 up
 to n = 50,000.
 
-MAX_TOTAL_WEIGHT = 1e7 keeps one instance's tallies under 1 GB: about 47 bytes per voter
-from n = 1e5 on, reached in the first product stages (tracemalloc at n = 1e6: 45.0 MiB
+MAX_TOTAL_WEIGHT = 1e7 keeps one instance's tallies under 1 GB: about 42 bytes per voter
+from n = 1e5 on, reached in the first product stages (tracemalloc at n = 1e6: 40.4 MiB
 for `direct_tail`, 27.5 and 22.9 MiB for fluid tails at the mean of confidence and upward
 graphs); at small n the MIN_CELLS cells of a chunk, 0.5 MiB with spectra, set the peak.
 Monte Carlo tallies sample full vote vectors, with Hoeffding intervals; a config's gain
@@ -168,7 +168,7 @@ def _products(rows, runs: list[int], budget: float):
         sums = np.add.reduceat(stats[:, :end], starts[:-1], axis=1)
         lo, hi = _window(*sums)
         kept, shift = (hi - lo + 1).tolist(), lo - sums[2].astype(np.int64)  # window start less lowest total
-        new, g = np.zeros((len(size), max(kept))), 0
+        pieces, g = [], 0
         while g < len(size):  # windows shrink along the runs, so a chunk's first group sets its size
             a, g = g, min(g + max(1, int(budget / (slots * kept[g]))), len(size))
             part, wide = data[starts[a] : starts[g]], max(width[starts[a] : starts[g]])
@@ -186,15 +186,20 @@ def _products(rows, runs: list[int], budget: float):
             del lattice  # each chunk-sized array is dropped once used, for the peak
             # each group's window: a cyclic slice of its product, zero past the group's own width
             span = max(kept[a:g])
+            spectra = spectra.reshape(g - a, slots, -1).prod(axis=1)  # each group's, in place of its rows'
             product = np.empty((g - a, n + span))
-            np.fft.irfft(spectra.reshape(g - a, slots, -1).prod(axis=1), n, out=product[:, :n])
+            np.fft.irfft(spectra, n, out=product[:, :n])
             del spectra
             product[:, n:] = product[:, :span]
             windows = np.ndarray((g - a, n, span), float, product, 0, (product.strides[0], 8, 8))
             piece = windows[range(g - a), shift[a:g] % n]
+            del windows, product
             piece[np.arange(span) >= np.array(kept[a:g])[:, None]] = 0.0
-            np.maximum(piece, 0.0, out=new[a:g, :span])  # FFT round-off below 0
-        data, width, step = new, kept + width[end:], None
+            pieces.append((a, np.maximum(piece, 0.0, out=piece)))  # FFT round-off below 0
+        data = np.zeros((len(size), max(kept)))  # once the chunks are done, for the peak
+        for a, piece in pieces:
+            data[a : a + len(piece), : piece.shape[1]] = piece
+        width, step, pieces = kept + width[end:], None, None
         sums[2], sums[3] = lo, hi
         stats = np.concatenate([sums, stats[:, end:]], axis=1)
         runs = [-(-a // K) for a in active] + runs[len(active) :]

@@ -223,9 +223,9 @@ def test_tail_input_validation():
 
 
 def test_direct_tail_peak_memory():
-    # about 47 bytes per voter of traced allocations at n = 2e5 (8.9 MiB), reached in the
-    # first product stages: the block pmfs, a stage's output and one chunk's lattice and
-    # spectra (57 before the stages read the block pmfs in place of a placement index)
+    # about 42 bytes per voter of traced allocations at n = 2e5 (8.1 MiB), reached in the
+    # first product stages: the block pmfs, a stage's finished pieces and one chunk's
+    # lattice and spectra (57 before the stages read the block pmfs in place of an index)
     n = 200_000
     p = substream(31, n).random(n)
     tracemalloc.start()
@@ -239,7 +239,7 @@ def test_direct_tail_peak_memory():
 
 def test_exact_gain_peak_memory():
     # gain-auto's per-instance call on a confidence graph, weights computed beforehand:
-    # about 47.5 bytes per voter at n = 2e5 (its fluid tail exits outside the window)
+    # about 43 bytes per voter at n = 2e5 (its fluid tail exits outside the window)
     n = 200_000
     p, graph = sample_instance(ConfidenceBased(LinearQ(0.8, 0.8)), Uniform(0.0, 1.0), n, substream(37, n))
     weights = compute_weights(graph).weight
