@@ -37,8 +37,8 @@ It starts 2 x --processes fresh interpreters of this script, alternately
 (ABBA) with PYTHONPATH at this side's src and at PATH/src, each pinned to the
 last CPU of this process's affinity set where the platform allows, and
 writes their runs (change-1, parent-1, ...; --label renames this side) into
-a new --out file, with a `sides` entry per side (its src, the sha256 of its
-fluiddem sources and its git commit, null outside a checkout) and a `summary`: per
+a new --out file, with a `sides` entry per side (the sha256 of its fluiddem
+sources and its git commit, null outside a checkout) and a `summary`: per
 layer and size, each side's range of per-process medians, the median of
 those medians, their ratio (this side over PATH's) and whether the two
 ranges overlap. Ranges that do not overlap mark a difference that the
@@ -471,7 +471,6 @@ def compare(args) -> int:
         "settings": {**settings, "processes": args.processes, "cpu": cpu},
         "sides": {
             label: {
-                "src": str(src),
                 "sha256": sources_sha256(src),
                 **{k: runs[f"{label}-1"]["environment"][k] for k in ("fluiddem_commit", "uncommitted_changes")},
             }
