@@ -115,12 +115,13 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 
 
 # Below this many voters per worker, summed over every instance of a config,
-# a fork costs more than the share of work it takes over. Forking, pinning
-# and reaping a worker take 2-3 ms, and the worker then faults its heap in
-# afresh: its first Upward instance takes 2.3-2.5 ms at 1e4 voters and
-# 19-21 ms at 2e5, its second 0.8 and 12 ms (2-vCPU Xeon VM, October 2026).
-# Two workers beat one from about 50,000 voters in all on exact gain tallies
-# and tabulated sampling, and from 400,000-1,000,000 on Upward conditions.
+# a fork is taken to cost more than the share of work it takes over: forking,
+# pinning and reaping a worker take 2-3 ms, and the worker then faults its
+# heap in afresh. The `replicate` layers of tools/bench_layers.py put the
+# break-even higher: on exact gain rows two workers tie one at 2 x 1e5 voters
+# and win at 2 x 1e6 (131-173 against 221-274 ms), on Upward conditions they
+# lose at 2 x 1e5 and win at 2 x 1e6 (73-89 against 101-108 ms), and gain-auto's
+# 64,000 voters take 19.2 ms on two against 18.2 on one (2-vCPU Xeon VM, 2026).
 VOTERS_PER_WORKER = 25_000
 
 

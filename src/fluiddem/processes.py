@@ -7,6 +7,11 @@ component-size recurrences W and V, the binomial graph branching process, the
 live/dead/neutral delegation branching process, and a bucketized multi-type
 Poisson branching process with its expected-children matrix.
 
+The V urn is drawn from its law, 1 + BetaBinomial(n, 1, start_other)
+(Johnson & Kotz, Urn Models, 1977), multi-type branching by whole
+generations, and the bucket model's spectral radius rho = p(1+eps)^3/(1-2eps)
+from M pi = rho pi.
+
 Delegation branching needs each voter's pair weight on all others, which
 the mechanism's phi gives (its row_sums): in O(rows * n) from per-row sums
 where phi(x, .) mixes two grid rows, from the rank order for an indicator.
@@ -53,14 +58,10 @@ def simulate_simon_components(n: int, p: float, rng: np.random.Generator) -> np.
     return np.bincount(forest_roots(parent)[0], minlength=n)[parent < 0]
 
 
-def simulate_w_process(n: int, k: int, p: float, rng: np.random.Generator) -> int:
-    """Size at time n of a component born at time k (growth rate p*W/(t-1))."""
-    return int(simulate_w_process_batch(n, k, p, 1, rng)[0])
-
-
 def simulate_w_process_batch(
     n: int, k: int, p: float, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Sizes at time n of `reps` components born at time k (growth rate p*W/(t-1))."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if not 0.0 <= p <= 1.0:
@@ -84,24 +85,15 @@ def expected_w(n: int, k: int, p: float) -> float:
     return math.exp(math.lgamma(n + p) + math.lgamma(k) - math.lgamma(k + p) - math.lgamma(n))
 
 
-def simulate_v_process(n: int, start_other: int, rng: np.random.Generator) -> int:
-    """Polya urn: one tracked ball vs start_other others, after n additions."""
-    return int(simulate_v_process_batch(n, start_other, 1, rng)[0])
-
-
 def simulate_v_process_batch(
     n: int, start_other: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Tracked counts of `reps` Polya urns (one tracked ball vs start_other others) after n additions."""
     if start_other < 1:
         raise ValueError("start_other must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    v = np.ones(reps, dtype=np.int64)
-    total = 1 + start_other
-    for _ in range(n):
-        v += rng.random(reps) < (v / total)
-        total += 1
-    return v
+    return 1 + rng.binomial(n, rng.beta(1, start_other, reps))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +173,9 @@ class BucketModel(Record, eq=False):
     that sum_t' phi_tilde[t, t'] * pi[t'] = 1 + eps. M[t, t'] is the expected
     number of type-t children of a type-t' parent in the dominating Poisson
     branching process (columns index the parent type), and satisfies
-    M @ pi = p*(1+eps)^3/(1-2*eps) * pi.
+    M @ pi = rho * pi with rho = p*(1+eps)^3/(1-2*eps). rho is the spectral
+    radius: pi >= 0 and M's rows outside pi's support are zero, so by
+    Perron-Frobenius no eigenvalue of M is larger in modulus.
     """
 
     B: int
@@ -194,18 +188,8 @@ class BucketModel(Record, eq=False):
     spectral_radius: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "B": self.B,
-                "boundaries": self.boundaries.tolist(),
-                "pi": self.pi.tolist(),
-                "phi_prime": self.phi_prime.tolist(),
-                "phi_tilde": self.phi_tilde.tolist(),
-                "eps": self.eps,
-                "M": self.M.tolist(),
-                "spectral_radius": self.spectral_radius,
-            }
-        )
+        fields = zip(self._fields, self._values())
+        return json.dumps({f: v.tolist() if isinstance(v, np.ndarray) else v for f, v in fields})
 
 
 def subcriticality_factor(p: float, eps: float) -> float:
@@ -301,7 +285,6 @@ def build_bucket_model(phi: PairWeight, dist, p: float, eps: float) -> BucketMod
     growth = p * (1.0 + eps) ** 2 / (1.0 - 2.0 * eps)
     M = growth * pi[:, None] * phi_tilde
 
-    spectral_radius = _power_iteration_radius(M)
     return BucketModel(
         B=B,
         boundaries=boundaries,
@@ -310,27 +293,8 @@ def build_bucket_model(phi: PairWeight, dist, p: float, eps: float) -> BucketMod
         phi_tilde=phi_tilde,
         eps=eps,
         M=M,
-        spectral_radius=spectral_radius,
+        spectral_radius=subcriticality_factor(p, eps),
     )
-
-
-def _power_iteration_radius(M: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Dominant eigenvalue of an entrywise nonnegative matrix."""
-    v = np.ones(M.shape[0])
-    v /= v.sum()
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        total = w.sum()
-        if total <= 0.0:
-            return 0.0
-        new_lam = total  # v sums to 1
-        w /= total
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            return float(new_lam)
-        v = w
-        lam = new_lam
-    return float(lam)
 
 
 def simulate_multitype_poisson(
@@ -339,7 +303,8 @@ def simulate_multitype_poisson(
     """Total progeny (root included) of the multi-type Poisson branching process.
 
     A parent of type t' begets Pois(M[t, t']) children of each type t,
-    independently. The result is capped at `cap` to bound runtime; a returned
+    independently, so a generation `live` begets Pois((M @ live)[t]) of type
+    t. Generations run until extinction or until `cap` are born; a returned
     value equal to cap means the process was truncated.
     """
     if not 0 <= start_type < model.B:
@@ -349,13 +314,7 @@ def simulate_multitype_poisson(
     live = np.zeros(model.B, dtype=np.int64)
     live[start_type] = 1
     total = 1
-    while total < cap:
-        parents = np.where(live > 0)[0]
-        if parents.size == 0:
-            break
-        parent = int(parents[0])
-        live[parent] -= 1
-        children = rng.poisson(model.M[:, parent])
-        live += children
-        total += int(children.sum())
+    while total < cap and live.any():
+        live = rng.poisson(model.M @ live)
+        total += int(live.sum())
     return min(total, cap)

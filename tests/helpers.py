@@ -275,6 +275,33 @@ def simulate_graph_branching_batch(n, p_prime, reps, rng) -> np.ndarray:
     )
 
 
+def sequential_v_process_batch(n: int, start_other: int, reps: int, rng) -> np.ndarray:
+    """Tracked counts of `reps` Polya urns, one addition at a time (oracle)."""
+    v = np.ones(reps, dtype=np.int64)
+    total = 1 + start_other
+    for _ in range(n):
+        v += rng.random(reps) < (v / total)
+        total += 1
+    return v
+
+
+def sequential_multitype_poisson(model, start_type: int, cap: int, rng) -> int:
+    """Capped total progeny of multi-type Poisson branching, one parent at a time (oracle)."""
+    live = np.zeros(model.B, dtype=np.int64)
+    live[start_type] = 1
+    total = 1
+    while total < cap:
+        parents = np.where(live > 0)[0]
+        if parents.size == 0:
+            break
+        parent = int(parents[0])
+        live[parent] -= 1
+        children = rng.poisson(model.M[:, parent])
+        live += children
+        total += int(children.sum())
+    return min(total, cap)
+
+
 def simulate_multitype_sizes(model, start_type, cap, reps, rng) -> np.ndarray:
     """Total sizes of `reps` multi-type Poisson branching runs, one after another."""
     return np.asarray(

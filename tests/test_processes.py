@@ -9,7 +9,9 @@ from helpers import (
     dels_of_root,
     grid_bucket_sup_table,
     pooled_chisq_pvalue,
+    sequential_multitype_poisson,
     sequential_simon_components,
+    sequential_v_process_batch,
     simulate_graph_branching_batch,
     simulate_multitype_sizes,
 )
@@ -40,9 +42,7 @@ from fluiddem.processes import (
     simulate_graph_branching,
     simulate_multitype_poisson,
     simulate_simon_components,
-    simulate_v_process,
     simulate_v_process_batch,
-    simulate_w_process,
     simulate_w_process_batch,
     subcriticality_factor,
 )
@@ -106,7 +106,7 @@ def test_simon_first_component_mean_and_dominance():
 
 
 def test_w_no_growth_steps():
-    assert simulate_w_process(7, 7, 0.3, substream(4)) == 1
+    assert simulate_w_process_batch(7, 7, 0.3, 1, substream(4)).tolist() == [1]
 
 
 def test_w_deterministic_at_p_one():
@@ -165,7 +165,7 @@ def test_expected_w_matches_the_gammaln_form():
 
 
 def test_v_process_no_steps():
-    assert simulate_v_process(0, 3, substream(8)) == 1
+    assert simulate_v_process_batch(0, 3, 1, substream(8)).tolist() == [1]
 
 
 def test_v_process_uniform_limit():
@@ -184,6 +184,14 @@ def test_v_process_beta_mean_many_urns():
     frac = draws / (101 + n)
     se = frac.std() / math.sqrt(reps)
     assert abs(frac.mean() - 1.0 / 101.0) < 3 * se
+
+
+@pytest.mark.parametrize("n, start_other", [(1000, 1), (2000, 20)])
+def test_v_process_matches_sequential_oracle(n, start_other):
+    # the Beta-Binomial law against the urn drawn one addition at a time
+    law = simulate_v_process_batch(n, start_other, 10_000, substream(24, start_other))
+    loop = sequential_v_process_batch(n, start_other, 10_000, substream(25, start_other))
+    assert pooled_chisq_pvalue(law, loop) > 0.001
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +349,7 @@ def test_bucket_model_invariants(idx):
     assert residual <= 1e-9
     assert model.spectral_radius < 1.0
     assert model.spectral_radius == pytest.approx(factor, rel=1e-9)
+    assert model.spectral_radius == pytest.approx(max(abs(np.linalg.eigvals(model.M))), rel=1e-12)
     assert abs(model.pi.sum() - 1.0) < 1e-12
 
 
@@ -378,6 +387,7 @@ def test_bucket_model_matches_quadrature_divisor_oracle(dist):
     for name in ("phi_prime", "phi_tilde", "M"):
         np.testing.assert_allclose(getattr(model, name), getattr(oracle, name), rtol=1e-12, atol=0.0)
     assert model.spectral_radius == pytest.approx(oracle.spectral_radius, rel=1e-12, abs=0.0)
+    assert model.spectral_radius == pytest.approx(max(abs(np.linalg.eigvals(model.M))), rel=1e-12)
 
 
 BENCH_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
@@ -460,6 +470,21 @@ def test_multitype_capped_tail_is_rare():
         [simulate_multitype_poisson(model, int(s), 10_000, rng) for s in starts]
     )
     assert np.mean(sizes >= 10_000) <= 1e-3
+
+
+@pytest.mark.parametrize("supercritical", [False, True])
+def test_multitype_matches_sequential_oracle(supercritical):
+    # whole generations against one parent at a time; the supercritical
+    # singleton reaches its cap in most runs, the bucket model almost never
+    if supercritical:
+        model, cap, starts = _singleton_model(1.5), 30, np.zeros(4000, dtype=np.int64)
+    else:
+        model = build_bucket_model(*builtin_bucket_configs()[1])
+        cap, starts = 10_000, substream(26).choice(model.B, size=10_000, p=model.pi)
+    rng, oracle_rng = substream(26, 1), substream(26, 2)
+    generations = [simulate_multitype_poisson(model, int(s), cap, rng) for s in starts]
+    sequential = [sequential_multitype_poisson(model, int(s), cap, oracle_rng) for s in starts]
+    assert pooled_chisq_pvalue(generations, sequential) > 0.001
 
 
 def test_delegation_tail_dominated_by_multitype_tail():

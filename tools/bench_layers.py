@@ -62,11 +62,13 @@ instance and the file writes. Its quartiles over the probes are recorded
 (`first_run_p25_ms`, `first_run_median_ms`, `first_run_p75_ms`), and with
 them the modules that run loads (`first_run_modules`), which should be none.
 
-The `replicate` layers time harness.replicate on the conditions-upward
-workload's instances (Upward(0.5) under Uniform(0, 0.98), 2 reps of size n,
-the conditions statistics of each) at a cap of 1 and of 2 workers, so they
-show what a second worker saves at each size, fork included; a config below
-the worker cutoff runs serially at either cap.
+The `replicate` layers time harness.replicate on 2 reps of size n at a cap
+of 1 and of 2 workers, so they show what a second worker saves at each
+size, fork included; a config below the worker cutoff runs serially at
+either cap. The conditions layers take the conditions-upward workload's
+instances (Upward(0.5) under Uniform(0, 0.98), the conditions statistics of
+each), the gain layers gain-auto's (ConfidenceBased(LinearQ(0.8, 0.8))
+under Uniform(0, 1), the exact gain row of each).
 
 Layers that do not grow with n (`fixed_ms`, quartiles in `fixed_p25_ms` and
 `fixed_p75_ms`) are timed RUNS times at their one size: `build_bucket_model`
@@ -216,14 +218,17 @@ def _six_step(mech):
     return lambda n, rng: lambda: run_six_step_sampler(mech, UNIT, n, rng)
 
 
-def _replicate(workers):
+def _replicate(row, workers, **fields):
     def prepare(n, rng):
-        cfg = ExperimentConfig(
-            UPWARD, NARROWED, (n,), 2, int(rng.integers(2**31)), delta_exponent=0.95
-        )
-        return lambda: harness.replicate(cfg, partial(harness._instance_stats, cfg), workers)
+        cfg = ExperimentConfig(sizes=(n,), reps_per_size=2, seed=int(rng.integers(2**31)), **fields)
+        return lambda: harness.replicate(cfg, partial(row, cfg), workers)
 
     return prepare
+
+
+# the conditions-upward and gain-auto workloads' instances and rows
+CONDITIONS = dict(mechanism=UPWARD, distribution=NARROWED, delta_exponent=0.95)
+GAIN = dict(mechanism=CONFIDENCE, distribution=UNIT)
 
 
 # layer name -> prepare(n, rng) returning the call to time
@@ -245,8 +250,10 @@ LAYERS = {
     "simulate_simon_components": _simon,
     "six-step sampler, affine phi": _six_step(AFFINE),
     "six-step sampler, 3x3 tabulated phi": _six_step(TABULATED),
-    "replicate conditions upward, 2 reps, 1 worker": _replicate(1),
-    "replicate conditions upward, 2 reps, 2 workers": _replicate(2),
+    "replicate conditions upward, 2 reps, 1 worker": _replicate(harness._instance_stats, 1, **CONDITIONS),
+    "replicate conditions upward, 2 reps, 2 workers": _replicate(harness._instance_stats, 2, **CONDITIONS),
+    "replicate gain confidence, 2 reps, 1 worker": _replicate(harness._gain_row, 1, **GAIN),
+    "replicate gain confidence, 2 reps, 2 workers": _replicate(harness._gain_row, 2, **GAIN),
 }
 
 
