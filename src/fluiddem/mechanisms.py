@@ -294,9 +294,8 @@ class TabulatedPhi(PairWeight):
 
     def __call__(self, x, y):
         arr = self._arr
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        xi, tx = _grid_cell(self._xs, x)
-        yi, ty = _grid_cell(self._ys, y)
+        xi, tx = _grid_cell(self._xs, np.asarray(x, dtype=float))
+        yi, ty = _grid_cell(self._ys, np.asarray(y, dtype=float))
         v00 = arr[xi, yi]
         v01 = arr[xi, yi + 1]
         v10 = arr[xi + 1, yi]
@@ -363,9 +362,9 @@ class RowNormalizedPhi(PairWeight, eq=False):
         return np.asarray(self.base(x, y), dtype=float) / self._means(x)
 
     def bounds(self):
-        # grid + monotonicity: extremes of phi(x, y) over y sit at y in {0, 1};
-        # a knot that repeats a grid point changes neither extreme
-        xs = np.concatenate([np.linspace(0.0, 1.0, 513), self.x_knots])
+        # extremes over y sit at y in {0, 1} (monotone in y), and over x at a knot
+        # or an end: between knots phi is monotone in x (see _bucket_sup_table)
+        xs = np.array([0.0, 1.0, *self.x_knots])
         lo = float(np.min(self(xs, 0.0)))
         hi = float(np.max(self(xs, 1.0)))
         if lo <= 0.0:

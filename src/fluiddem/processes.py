@@ -226,11 +226,22 @@ class BucketDocument(Record):
 
 
 def _grid_modulus(phi: PairWeight, B: int) -> float:
-    """Largest phi variation within any square of side 1/B, on a half-step lattice."""
+    """Largest phi variation within any square of side 1/B, on a half-step lattice.
+
+    The squares are its 3x3 windows at stride 2, reduced over rows, then
+    columns, in bands of rows that share their edge rows: memory stays bounded
+    as B grows, and the lattice of a B <= 64 is one band.
+    """
     lattice = np.linspace(0.0, 1.0, 2 * B + 1)
-    vals = np.asarray(phi(lattice[:, None], lattice[None, :]), dtype=float)
-    squares = np.lib.stride_tricks.sliding_window_view(vals, (3, 3))[::2, ::2]
-    return float(np.max(squares.max(axis=(2, 3)) - squares.min(axis=(2, 3))))
+    per_band = max(1, 4096 // B)  # rows of windows: about 2^14 lattice values
+    windows = lambda op, a: op(op(a[:-2:2], a[1:-1:2]), a[2::2])  # noqa: E731
+    modulus = 0.0
+    for start in range(0, B, per_band):
+        band = lattice[2 * start : 2 * min(start + per_band, B) + 1]
+        vals = np.asarray(phi(band[:, None], lattice[None, :]), dtype=float)
+        high = windows(np.maximum, windows(np.maximum, vals).T)
+        modulus = max(modulus, float(np.max(high - windows(np.minimum, windows(np.minimum, vals).T))))
+    return modulus
 
 
 def _bucket_sup_table(phi: PairWeight, boundaries: np.ndarray) -> np.ndarray:

@@ -47,9 +47,9 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss–Legendre rule on [-1, 1], read-only.
 
-    Newton steps on the three-term recurrence of P_n from Tricomi's starting
-    values; weights proportional to 1 / ((1 - x^2) P_n'(x)^2), made exactly
-    symmetric about 0 and summing to 2.
+    Newton steps on P_n's three-term recurrence from Tricomi's starting values,
+    at most 10, until one is at rounding level (half an ulp of 1); weights
+    proportional to 1 / ((1 - x^2) P_n'(x)^2), exactly symmetric, summing to 2.
     """
     x, step = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5)), 0.0
     for _ in range(10):
@@ -59,6 +59,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
         slope = n * (x * p - p_prev) / (x * x - 1.0)
         step = p / slope
+        if np.abs(step).max() <= 0.5 * np.finfo(float).eps:
+            break
     w = 1.0 / ((1.0 - x * x) * slope * slope)
     nodes, weights = 0.5 * (x - x[::-1]), 2.0 * (w + w[::-1]) / (w + w[::-1]).sum()
     nodes.flags.writeable = weights.flags.writeable = False

@@ -16,8 +16,10 @@ from fluiddem.mechanisms import (
     GeneralContinuous,
     Indicator,
     LinearQ,
+    NotStrictlyPositiveError,
     RowNormalizedPhi,
     Upward,
+    _grid_cell,
     normalize_phi,
     phi_mean_in_y,
 )
@@ -154,6 +156,38 @@ class QuadratureRowNormalizedPhi(RowNormalizedPhi):
             if v not in cache:
                 cache[v] = simpson_phi_mean_in_y(self.base, self.dist, v)
         return np.array([cache[v] for v in uniq.tolist()])[inverse].reshape(x.shape)
+
+
+def broadcast_tabulated_phi(phi, x, y):
+    """A TabulatedPhi evaluated on x and y broadcast to one shape first (oracle
+    for TabulatedPhi.__call__, which broadcasts only in its gathers)."""
+    arr = np.array(phi.values)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    xi, tx = _grid_cell(np.linspace(0.0, 1.0, arr.shape[0]), x)
+    yi, ty = _grid_cell(np.linspace(0.0, 1.0, arr.shape[1]), y)
+    v00, v01 = arr[xi, yi], arr[xi, yi + 1]
+    v10, v11 = arr[xi + 1, yi], arr[xi + 1, yi + 1]
+    return (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11)
+
+
+def window_grid_modulus(phi, B: int) -> float:
+    """The largest phi variation over the 3x3 stride-2 windows of the whole
+    (2B+1)^2 half-step lattice at once (oracle for processes._grid_modulus)."""
+    lattice = np.linspace(0.0, 1.0, 2 * B + 1)
+    vals = np.asarray(phi(lattice[:, None], lattice[None, :]), dtype=float)
+    squares = np.lib.stride_tricks.sliding_window_view(vals, (3, 3))[::2, ::2]
+    return float(np.max(squares.max(axis=(2, 3)) - squares.min(axis=(2, 3))))
+
+
+def dense_row_normalized_bounds(phi) -> tuple[float, float]:
+    """A RowNormalizedPhi's bounds over 513 x plus its knots, at y = 0 and 1
+    (oracle for RowNormalizedPhi.bounds, which takes the knots and the ends)."""
+    xs = np.concatenate([np.linspace(0.0, 1.0, 513), phi.x_knots])
+    lo = float(np.min(phi(xs, 0.0)))
+    hi = float(np.max(phi(xs, 1.0)))
+    if lo <= 0.0:
+        raise NotStrictlyPositiveError("normalized phi attains 0")
+    return lo, hi
 
 
 def grid_bucket_sup_table(phi, boundaries, B):

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import QuadratureRowNormalizedPhi, simpson_phi_mean_in_y
+from helpers import (
+    QuadratureRowNormalizedPhi,
+    broadcast_tabulated_phi,
+    dense_row_normalized_bounds,
+    simpson_phi_mean_in_y,
+)
 
 from fluiddem import (
     AffineInY,
@@ -287,6 +292,59 @@ def test_row_normalized_phi_matches_quadrature_divisor_pointwise():
     oracle = QuadratureRowNormalizedPhi(base, dist)(xs, ys)
     assert closed.shape == (7, 11)
     np.testing.assert_allclose(closed, oracle, rtol=1e-12, atol=0.0)
+
+
+# (x, y) pairs of every broadcasting form, some of them outside [0, 1]
+_LINE = np.array([-0.3, 0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0, 1.4])
+CALL_INPUTS = {
+    "column-by-row": (_LINE[:, None], np.linspace(-0.2, 1.2, 11)[None, :]),
+    "scalar-by-array": (0.42, _LINE),
+    "array-by-scalar": (_LINE, 0.9),
+    "equal-1d": (_LINE, _LINE[::-1].copy()),
+    "0d-by-0d": (np.float64(0.25), np.array(0.6)),
+    "0d-by-array": (np.array(1.3), _LINE),
+    "floats": (-0.1, 1.1),
+}
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (3, 5)])
+@pytest.mark.parametrize("inputs", CALL_INPUTS.values(), ids=CALL_INPUTS.keys())
+def test_tabulated_call_matches_broadcast_oracle(shape, inputs):
+    phi = _random_tabulated(*shape, seed=shape[0] * 10 + shape[1])
+    got = phi(*inputs)
+    want = broadcast_tabulated_phi(phi, *inputs)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        *(_random_tabulated(*shape, seed=shape[0] + shape[1]) for shape in [(2, 2), (4, 3), (3, 5), (9, 4)]),
+        TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0))),
+        TabulatedPhi(((2.0, 3.0), (2.0, 3.0))),
+        Constant1(),
+        AffineInY(1.0, 2.0),
+        ExpInY(1.3, 0.7),
+    ],
+    ids=["2x2", "4x3", "3x5", "9x4", "bench-3x3", "flat-in-x", "constant1", "affine", "exp"],
+)
+@pytest.mark.parametrize("dist", [dist for dist, _ in DIVISOR_DISTS])
+def test_row_normalized_bounds_match_dense_oracle(base, dist):
+    # phi is monotone in x between knots, so the knots and the ends give the
+    # same extremes, bit for bit, as 513 x do
+    phi = RowNormalizedPhi(base, dist)
+    assert phi.bounds() == dense_row_normalized_bounds(phi)
+
+
+def test_row_normalized_bounds_refuse_zero():
+    phi = RowNormalizedPhi(TabulatedPhi(((0.0, 1.0), (1.0, 2.0))), UNIT)
+    with pytest.raises(NotStrictlyPositiveError):
+        phi.bounds()
+    with pytest.raises(NotStrictlyPositiveError):
+        dense_row_normalized_bounds(phi)
 
 
 def test_nested_row_normalization_flattens():

@@ -14,6 +14,7 @@ from helpers import (
     sequential_v_process_batch,
     simulate_graph_branching_batch,
     simulate_multitype_sizes,
+    window_grid_modulus,
 )
 
 from fluiddem import (
@@ -36,6 +37,7 @@ from fluiddem.mechanisms import RowNormalizedPhi
 from fluiddem.processes import (
     BucketModel,
     _bucket_sup_table,
+    _grid_modulus,
     build_bucket_model,
     expected_w,
     simulate_delegation_branching,
@@ -417,6 +419,48 @@ def test_bucket_sup_table_is_the_dense_maximum(phi):
     # never below the 34-point oracle, up to rounding: an interior point of a
     # cell can round an ulp or two above the larger of the cell's ends
     assert np.all(table >= grid_bucket_sup_table(phi, boundaries, 64) * (1.0 - 1e-15))
+
+
+def _random_grid(nx: int, ny: int, seed: int) -> TabulatedPhi:
+    steps = np.random.default_rng(seed).uniform(0.0, 2.0, size=(nx, ny))
+    steps[:, 0] += 0.5
+    return TabulatedPhi(tuple(map(tuple, np.cumsum(steps, axis=1))))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        BENCH_GRID,
+        RowNormalizedPhi(BENCH_GRID, Uniform(0.0, 1.0)),
+        RowNormalizedPhi(BENCH_GRID, Uniform(0.1, 0.7)),
+        _random_grid(4, 3, seed=1),
+        _random_grid(7, 5, seed=2),
+        RowNormalizedPhi(_random_grid(5, 9, seed=3), TruncatedBeta(2.0, 3.0)),
+    ],
+    ids=["3x3", "3x3-row-normalized", "3x3-row-normalized-narrow", "random-4x3", "random-7x5", "random-5x9-beta"],
+)
+def test_grid_modulus_matches_window_oracle(phi):
+    # every B up to 130, so the one-band lattices up to 64 and the lattices of
+    # 2 to 5 bands (4,096 // B rows of windows each, the last one partial or
+    # not), then larger ones with up to 64 bands, B = 512 the largest the
+    # search tries before 1024
+    for B in [*range(1, 131), 256, 300, 512]:
+        assert _grid_modulus(phi, B) == window_grid_modulus(phi, B), B
+
+
+def test_grid_modulus_memory_is_bounded():
+    # the whole B = 1024 lattice at once traced 352 MiB; bands of rows keep it small
+    import tracemalloc
+
+    phi = RowNormalizedPhi(BENCH_GRID, Uniform(0.0, 1.0))
+    phi(0.5, 0.5)  # build the divisor outside the traced call
+    tracemalloc.start()
+    try:
+        _grid_modulus(phi, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_bucket_model_json_fields():

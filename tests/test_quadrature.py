@@ -49,6 +49,18 @@ def test_gauss_legendre_matches_numpy(n):
         assert weights @ nodes**k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64])
+def test_gauss_legendre_nodes_are_converged(n):
+    # one more Newton step on the Legendre recurrence moves no node by more
+    # than rounding: the Newton passes stop only once converged
+    x = gauss_legendre(n)[0]
+    p_prev, p = np.ones(n), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    step = p / (n * (x * p - p_prev) / (x * x - 1.0))
+    assert np.max(np.abs(step)) < 4e-16
+
+
 @pytest.mark.parametrize(
     "dist",
     [Uniform(0.1, 0.7), TruncatedBeta(2.0, 3.0), RAMP],

@@ -34,10 +34,12 @@ An A/B comparison runs in one command:
         --layers direct_tail "exact_gain, confidence graph" --out BENCH_21.json
 
 It starts 2 x --processes fresh interpreters of this script, alternately
-(ABBA) with PYTHONPATH at this side's src and at PATH/src, each pinned to the
-last CPU of this process's affinity set where the platform allows, and
-writes their runs (change-1, parent-1, ...; --label renames this side) into
-a new --out file, with a `sides` entry per side (the sha256 of its fluiddem
+(ABBA) with PYTHONPATH at this side's src and at PATH/src. Where the platform
+allows, each pins itself (--pin) to the last CPU of this process's affinity
+set, except for the `… 2 workers` layers, which run on the whole set so that
+the second worker has a CPU of its own; `settings.cpus` records both sets
+per run. It writes their runs (change-1, parent-1, ...; --label renames this
+side) into a new --out file, with a `sides` entry per side (the sha256 of its fluiddem
 sources and its git commit, null outside a checkout) and a `summary`: per
 layer and size, each side's range of per-process medians, the median of
 those medians, their ratio (this side over PATH's) and whether the two
@@ -74,8 +76,12 @@ Layers that do not grow with n (`fixed_ms`, quartiles in `fixed_p25_ms` and
 `fixed_p75_ms`) are timed RUNS times at their one size: `build_bucket_model`
 of the row-normalized 3x3 tabulated phi, with p = 0.3 and eps = 0.05 as in
 the processes-bucket workload, under three laws (a fresh phi per run, so its
-row means are computed inside the timed call), and `phi_mean_in_y` of that
-phi over the 21 x of the model's normalization check.
+row means are computed inside the timed call), `phi_mean_in_y` of that
+phi over the 21 x of the model's normalization check, `BucketModel.to_json`
+of the processes-bucket model (the bytes that command writes), and the 16-
+and 32-node Gauss–Legendre rules built with their cache cleared, as every
+fresh `processes` run builds them (the `build_bucket_model` layers find them
+cached after their first run).
 A fluiddem whose `phi_mean_in_y` takes one float x at a time is timed on the
 same 21 x, one call each.
 """
@@ -100,7 +106,7 @@ from pathlib import Path
 # fluiddem before numpy, so that the layers run with the BLAS thread count the CLI gets
 import fluiddem  # isort: skip
 import numpy as np
-from fluiddem import cli, delegation_graph, distributions, harness, mechanisms, processes, tally
+from fluiddem import cli, delegation_graph, distributions, harness, mechanisms, processes, quadrature, tally
 from fluiddem.delegation_graph import compute_weights, sample_instance, to_edge_csv
 from fluiddem.harness import ExperimentConfig, run_six_step_sampler
 from fluiddem.mechanisms import (
@@ -275,6 +281,16 @@ def _normalization_check():
     return lambda: mechanisms.phi_mean_in_y(phi, UNIT, xs)
 
 
+def _bucket_json():
+    # the processes-bucket workload's model, B = 64
+    return processes.build_bucket_model(normalize_phi(TABULATED_PHI, UNIT), UNIT, 0.3, 0.05).to_json
+
+
+def _legendre_rules():
+    quadrature.gauss_legendre.cache_clear()
+    return lambda: (quadrature.gauss_legendre(16), quadrature.gauss_legendre(32))
+
+
 # layer name -> prepare() returning the call to time, for layers without a size
 FIXED_LAYERS = {
     "build_bucket_model, 3x3 tabulated phi, Uniform(0, 1)": _bucket_model(UNIT),
@@ -285,6 +301,8 @@ FIXED_LAYERS = {
         distributions.TruncatedBeta(2.0, 3.0)
     ),
     "phi_mean_in_y, normalized 3x3 tabulated phi, 21 x": _normalization_check,
+    "BucketModel.to_json, 3x3 tabulated phi, Uniform(0, 1)": _bucket_json,
+    "gauss_legendre(16) and gauss_legendre(32), cache cleared": _legendre_rules,
 }
 
 
@@ -454,9 +472,8 @@ def compare(args) -> int:
     if not (there / "fluiddem").is_dir():
         raise SystemExit(f"{there / 'fluiddem'} is not a directory")
     sides = {args.label: here, "parent": there}
-    cpu = max(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-    pin = (lambda: os.sched_setaffinity(0, {cpu})) if cpu is not None else None
-    runs, settings = {}, None
+    cpu = max(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
+    runs, settings, cpus = {}, None, {}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(1, args.processes + 1):
             order = list(sides.items()) if i % 2 else list(sides.items())[::-1]  # ABBA against drift
@@ -465,17 +482,20 @@ def compare(args) -> int:
                 command = [sys.executable, str(Path(__file__).resolve()), "--label", name, "--out", str(out)]
                 if args.layers:
                     command += ["--layers", *args.layers]
+                if cpu is not None:
+                    command += ["--pin", str(cpu)]
                 print(f"{name}: PYTHONPATH={src}", file=sys.stderr, flush=True)
-                subprocess.run(command, env=dict(os.environ, PYTHONPATH=str(src)), check=True, preexec_fn=pin)
+                subprocess.run(command, env=dict(os.environ, PYTHONPATH=str(src)), check=True)
                 doc = json.loads(out.read_text())
                 runs[name], settings = doc["runs"][name], doc["settings"]
+                cpus[name] = settings.pop("cpus")
     summary = summarize(runs, tuple(sides))
     for layer, sizes in summary.items():
         for size, row in sizes.items():
             flag = "" if row["ranges_overlap"] else "  (ranges do not overlap)"
             print(f"{layer} {size}: ratio {row['ratio']}{flag}", file=sys.stderr)
     doc = {
-        "settings": {**settings, "processes": args.processes, "cpu": cpu},
+        "settings": {**settings, "processes": args.processes, "cpus": cpus},
         "sides": {
             label: {
                 "sha256": sources_sha256(src),
@@ -500,6 +520,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--against", metavar="PATH", help="a second checkout (or copy) to run alternately")
     parser.add_argument("--processes", type=int, default=4, help="processes per side with --against")
+    parser.add_argument(
+        "--pin", type=int, metavar="CPU",
+        help="run on this CPU only, except for the `2 workers` layers (set by --against for its runs)",
+    )
     args = parser.parse_args(argv)
     if args.against:
         args.label = args.label or "change"
@@ -508,6 +532,10 @@ def main(argv=None) -> int:
         parser.error("--label is required without --against")
     chosen = set(args.layers or ["import", *LAYERS, *FIXED_LAYERS])
 
+    # the 2-worker layers get every CPU this process may use, so that worker_count forks
+    whole = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    if args.pin is not None:
+        os.sched_setaffinity(0, {args.pin})
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["settings"] = {
@@ -517,6 +545,10 @@ def main(argv=None) -> int:
         "skip_above_s": SKIP_ABOVE_S,
         "import_runs": IMPORT_RUNS,
         "unit": "ms",
+        "cpus": {
+            "2-worker layers": sorted(whole) if whole else None,
+            "other layers": sorted(os.sched_getaffinity(0)) if whole else None,
+        },
     }
     imported = time_import() if "import" in chosen else None
     if imported:
@@ -533,6 +565,8 @@ def main(argv=None) -> int:
     for name, prepare in LAYERS.items():
         if name not in chosen:
             continue
+        if args.pin is not None:
+            os.sched_setaffinity(0, whole if name.endswith("2 workers") else {args.pin})
         rows, last = [{}, {}, {}, {}], None
         for size_idx, n in enumerate(SIZES):
             if last is not None and last[1] / 1e3 * (n / last[0]) ** 2 > SKIP_ABOVE_S:
@@ -548,6 +582,8 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
         for key, row in zip(stats, rows):
             stats[key][name] = row
+    if args.pin is not None:
+        os.sched_setaffinity(0, {args.pin})
     fixed = {"fixed_p25_ms": {}, "fixed_ms": {}, "fixed_p75_ms": {}}
     for name, prepare in FIXED_LAYERS.items():
         if name not in chosen:
