@@ -18,6 +18,7 @@ from fluiddem.mechanisms import (
     LinearQ,
     NotStrictlyPositiveError,
     RowNormalizedPhi,
+    TabulatedPhi,
     Upward,
     _grid_cell,
     normalize_phi,
@@ -156,6 +157,14 @@ class QuadratureRowNormalizedPhi(RowNormalizedPhi):
             if v not in cache:
                 cache[v] = simpson_phi_mean_in_y(self.base, self.dist, v)
         return np.array([cache[v] for v in uniq.tolist()])[inverse].reshape(x.shape)
+
+
+def random_tabulated(nx: int, ny: int, seed: int) -> TabulatedPhi:
+    """An nx x ny TabulatedPhi of random values, positive and increasing in y."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.0, 2.0, size=(nx, ny))
+    steps[:, 0] += 0.5
+    return TabulatedPhi(tuple(map(tuple, np.cumsum(steps, axis=1))))
 
 
 def broadcast_tabulated_phi(phi, x, y):

@@ -9,6 +9,7 @@ from helpers import (
     dels_of_root,
     grid_bucket_sup_table,
     pooled_chisq_pvalue,
+    random_tabulated,
     sequential_multitype_poisson,
     sequential_simon_components,
     sequential_v_process_batch,
@@ -421,21 +422,15 @@ def test_bucket_sup_table_is_the_dense_maximum(phi):
     assert np.all(table >= grid_bucket_sup_table(phi, boundaries, 64) * (1.0 - 1e-15))
 
 
-def _random_grid(nx: int, ny: int, seed: int) -> TabulatedPhi:
-    steps = np.random.default_rng(seed).uniform(0.0, 2.0, size=(nx, ny))
-    steps[:, 0] += 0.5
-    return TabulatedPhi(tuple(map(tuple, np.cumsum(steps, axis=1))))
-
-
 @pytest.mark.parametrize(
     "phi",
     [
         BENCH_GRID,
         RowNormalizedPhi(BENCH_GRID, Uniform(0.0, 1.0)),
         RowNormalizedPhi(BENCH_GRID, Uniform(0.1, 0.7)),
-        _random_grid(4, 3, seed=1),
-        _random_grid(7, 5, seed=2),
-        RowNormalizedPhi(_random_grid(5, 9, seed=3), TruncatedBeta(2.0, 3.0)),
+        random_tabulated(4, 3, seed=1),
+        random_tabulated(7, 5, seed=2),
+        RowNormalizedPhi(random_tabulated(5, 9, seed=3), TruncatedBeta(2.0, 3.0)),
     ],
     ids=["3x3", "3x3-row-normalized", "3x3-row-normalized-narrow", "random-4x3", "random-7x5", "random-5x9-beta"],
 )
@@ -449,7 +444,7 @@ def test_grid_modulus_matches_window_oracle(phi):
 
 
 def test_grid_modulus_memory_is_bounded():
-    # the whole B = 1024 lattice at once traced 352 MiB; bands of rows keep it small
+    # evaluated whole, the B = 1024 lattice traces about 350 MiB; bands of rows keep it small
     import tracemalloc
 
     phi = RowNormalizedPhi(BENCH_GRID, Uniform(0.0, 1.0))
