@@ -143,28 +143,32 @@ def _parse_sizes(text: str) -> list:
 def _bucket_inputs(raw: dict):
     """(phi normalized under the distribution, distribution, p, eps) of a bucket-model document.
 
-    It reads and checks the document but does not build the model.
+    It reads and checks the document, the normalized phi included, but does not build the model.
     """
     from . import processes  # only the processes command loads it
 
     doc = mechanisms.read_record(processes.BucketDocument, raw)
-    return mechanisms.normalize_phi(doc.phi, doc.distribution), doc.distribution, doc.p, doc.eps
+    normalize = lambda phi: mechanisms.normalize_phi(phi, doc.distribution)  # noqa: E731
+    phi = mechanisms.parse_field("phi", normalize, doc.phi)
+    mechanisms.positive_bounds(phi)  # the row means it computes are the build's
+    return phi, doc.distribution, doc.p, doc.eps
+
+
+def _sha256(document: dict) -> str:
+    """The SHA-256 of the document's canonical JSON, which holds no NaN or infinity."""
+    return hashlib.sha256(json.dumps(document, sort_keys=True, allow_nan=False).encode()).hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, raw_config: dict, cfg_kv: dict, wall: float):
-    digest = hashlib.sha256(
-        json.dumps(raw_config, sort_keys=True).encode("utf-8")
-    ).hexdigest()
     manifest = {
         "command": command,
         "package_version": __version__,
         "config": raw_config,
-        "config_sha256": digest,
         **cfg_kv,
         "wall_time_seconds": wall,
     }
     with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -208,6 +212,8 @@ def _main(argv) -> int:
         threads = args["threads"]
         if threads < 1:
             raise ValueError(f"field 'threads': must be >= 1, got {threads}")
+        # the manifest records the document: a NaN in a field the reader ignores stops here
+        digest = mechanisms.parse_field("config", _sha256, raw_config)
         out_dir = None
         if args["out"] is not None:
             out_dir = Path(args["out"])
@@ -233,7 +239,7 @@ def _main(argv) -> int:
                     out_dir,
                     command,
                     raw_config,
-                    {"seed": None, "sizes": None, "threads": threads},
+                    {"config_sha256": digest, "seed": None, "sizes": None, "threads": threads},
                     time.monotonic() - started,
                 )
             return 0
@@ -268,7 +274,7 @@ def _main(argv) -> int:
             out_dir,
             command,
             raw_config,
-            {"seed": cfg.seed, "sizes": list(cfg.sizes), "threads": threads},
+            {"config_sha256": digest, "seed": cfg.seed, "sizes": list(cfg.sizes), "threads": threads},
             time.monotonic() - started,
         )
         _progress(f"{command}: wrote {out_dir}")

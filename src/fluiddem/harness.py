@@ -472,10 +472,6 @@ class SixStepDiagnostics(Record):
     max_dels_partial: int
     total_weight_partial: int
     weighted_q_sum: float
-    eps: float
-    mu: float
-    lift_constant: float
-    max_weight_bound: float
 
 
 def run_six_step_sampler(
@@ -574,10 +570,6 @@ def run_six_step_sampler(
         max_dels_partial=max_dels,
         total_weight_partial=prof.total_weight,
         weighted_q_sum=weighted_q,
-        eps=eps,
-        mu=mu,
-        lift_constant=lift_c,
-        max_weight_bound=bound,
     )
     return p_vec, graph, diagnostics
 
@@ -617,18 +609,8 @@ def run_sixstep_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[tupl
             log_coefficient=coeff,
             lift_constant=lift,
         )
-        return (
-            n,
-            rep,
-            *diag.events,
-            diag.m_size,
-            diag.r_size,
-            diag.delegator_comp_sum,
-            diag.min_m_ratio,
-            diag.max_dels_partial,
-            diag.total_weight_partial,
-            diag.weighted_q_sum,
-        )
+        # the diagnostics after the events are the CSV's remaining columns, in order
+        return (n, rep, *diag.events, *diag._values()[1:])
 
     return [row for rows in replicate(cfg, sixstep_row, threads) for row in rows]
 

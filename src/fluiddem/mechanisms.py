@@ -36,10 +36,6 @@ from .record import Record
 from .tally import GAIN_KINDS
 
 
-class NotStrictlyPositiveError(ValueError):
-    """Raised when a weight function that must stay positive attains zero."""
-
-
 # ---------------------------------------------------------------------------
 # delegation probability functions
 
@@ -194,7 +190,7 @@ class Indicator(PairWeight):
         return functools.partial(self.mean_in_y, dist)
 
     def normalized(self, dist):
-        raise NotStrictlyPositiveError("Indicator cannot be normalized: it attains 0")
+        raise ValueError("Indicator cannot be normalized: it attains 0")
 
     def bounds(self):
         return 0.0, 1.0
@@ -261,7 +257,8 @@ class ExpInY(PairWeight):
         return ExpInY(self.lam, self.scale / phi_mean_in_y(self, dist, 0.0))
 
     def bounds(self):
-        return self.scale, self.scale * float(np.exp(self.lam))
+        with np.errstate(over="ignore"):  # inf past lam = 709.78, which positive_bounds refuses
+            return self.scale, self.scale * float(np.exp(self.lam))
 
 
 class TabulatedPhi(PairWeight):
@@ -315,10 +312,7 @@ class TabulatedPhi(PairWeight):
         return functools.partial(np.interp, xp=self._xs, fp=phi_mean_in_y(self, dist, self._xs))
 
     def bounds(self):
-        lo, hi = float(self._arr.min()), float(self._arr.max())
-        if lo <= 0.0:
-            raise NotStrictlyPositiveError("TabulatedPhi attains 0 on its grid")
-        return lo, hi
+        return float(self._arr.min()), float(self._arr.max())
 
 
 def _grid_cell(grid: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,11 +359,16 @@ class RowNormalizedPhi(PairWeight, eq=False):
         # extremes over y sit at y in {0, 1} (monotone in y), and over x at a knot
         # or an end: between knots phi is monotone in x (see _bucket_sup_table)
         xs = np.array([0.0, 1.0, *self.x_knots])
-        lo = float(np.min(self(xs, 0.0)))
-        hi = float(np.max(self(xs, 1.0)))
-        if lo <= 0.0:
-            raise NotStrictlyPositiveError("normalized phi attains 0")
-        return lo, hi
+        return float(np.min(self(xs, 0.0))), float(np.max(self(xs, 1.0)))
+
+
+def positive_bounds(phi: PairWeight) -> tuple[float, float]:
+    """phi's (inf, sup), refused unless 0 < inf <= sup < inf (NaN fails): the one
+    positivity rule, for every phi a run uses. A family's bounds() only reports."""
+    lo, hi = phi.bounds()
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"field 'phi': must be finite and strictly positive, spans [{lo:.6g}, {hi:.6g}]")
+    return lo, hi
 
 
 def phi_mean_in_y(phi: PairWeight, dist, x):
@@ -493,9 +492,7 @@ class GeneralContinuous(Record):
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"GeneralContinuous requires p in (0, 1), got {self.p}")
-        # the base's bounds: a normalized phi's own would take quadratures
-        if self.phi.sampling_base.bounds()[0] <= 0.0:
-            raise ValueError(f"GeneralContinuous requires a strictly positive phi; {self.phi} attains 0")
+        positive_bounds(self.phi.sampling_base)  # a normalized phi's own would take quadratures
         object.__setattr__(self, "q", ConstantQ(self.p))
 
     def out_edges(self, p_vec, rng):
@@ -581,11 +578,14 @@ _READERS = {"knots": _rows, "values": _rows, "sizes": _integers,
 
 def parse_field(name: str, convert, value):
     """convert(value), naming the config field if it raises ValueError, KeyError,
-    TypeError or OverflowError (float of an integer beyond the float range)."""
+    TypeError or OverflowError (float of an integer beyond the float range). A
+    nested document's check that names its own field gets the whole path."""
     try:
         return convert(value)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"field '{name}': {exc}") from exc
+        inner = str(exc).removeprefix("field '")
+        where = f"{name}.{inner}" if inner != str(exc) else f"{name}': {exc}"
+        raise ValueError(f"field '{where}") from exc
 
 
 def from_config(kinds: dict, obj, path: str):

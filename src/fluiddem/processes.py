@@ -27,7 +27,7 @@ import numpy as np
 
 from .delegation_graph import NO_EDGE, forest_roots
 from .distributions import DistributionSpec
-from .mechanisms import MechanismSpec, PairWeight, phi_mean_in_y
+from .mechanisms import MechanismSpec, PairWeight, phi_mean_in_y, positive_bounds
 from .record import Record
 
 MAX_BUCKETS = 2048
@@ -188,8 +188,8 @@ class BucketModel(Record, eq=False):
     spectral_radius: float
 
     def to_json(self) -> str:
-        fields = zip(self._fields, self._values())
-        return json.dumps({f: v.tolist() if isinstance(v, np.ndarray) else v for f, v in fields})
+        fields = dict(zip(self._fields, self._values()))
+        return json.dumps(fields, default=np.ndarray.tolist, allow_nan=False)
 
 
 def subcriticality_factor(p: float, eps: float) -> float:
@@ -223,6 +223,7 @@ class BucketDocument(Record):
 
     def __post_init__(self):
         check_bucket_parameters(self.p, self.eps)
+        positive_bounds(self.phi.sampling_base)
 
 
 def _grid_modulus(phi: PairWeight, B: int) -> float:
@@ -268,16 +269,16 @@ def build_bucket_model(phi: PairWeight, dist, p: float, eps: float) -> BucketMod
     Requires p in (0, 1), eps > 0 with p*(1+eps)^3/(1-2*eps) < 1, and phi
     with unit y-mean under dist (see normalize_phi). The bucket count B
     doubles until the grid-estimated modulus of continuity over squares of
-    side 1/B drops to L*eps, where [L, U] are the bounds of phi.
+    side 1/B drops to L*eps, where [L, U] are the bounds of phi (positive_bounds).
     """
     check_bucket_parameters(p, eps)
     xs = np.linspace(0.0, 1.0, 21)
     for x, m in zip(xs, phi_mean_in_y(phi, dist, xs)):
-        if abs(m - 1.0) > 1e-6:
+        if not abs(m - 1.0) <= 1e-6:  # NaN fails
             raise ValueError(
                 f"phi is not normalized: E_y[phi({x:.2f}, y)] = {m:.8f}; apply normalize_phi first"
             )
-    low, _high = phi.bounds()
+    low, _high = positive_bounds(phi)
 
     B = 1
     while _grid_modulus(phi, B) > low * eps:

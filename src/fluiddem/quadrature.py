@@ -5,11 +5,13 @@ Math. Comp. 1969) to every piece between breakpoints in one call of the
 integrand; a piece where the two disagree by more than its share of the
 tolerance, times the piece's integral where that exceeds 1 in size, falls
 back to adaptive Simpson, the tests' reference rule, at that same tolerance.
+The fallback raises ValueError on a piece whose estimate is not finite.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -24,6 +26,8 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     frm = f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if not math.isfinite(left + right):  # else NaN differences would recurse to full depth
+        raise ValueError(f"the integral over [{a:.6g}, {b:.6g}] is not finite in floating point")
     if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
         return left + right + (left + right - whole) / 15.0
     return _adapt(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + _adapt(

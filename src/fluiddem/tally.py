@@ -63,7 +63,8 @@ class GainReport(Record):
     reps: Optional[int] = None
 
     def to_json(self) -> str:
-        return json.dumps({f: v for f, v in zip(self._fields, self._values()) if v is not None})
+        fields = {f: v for f, v in zip(self._fields, self._values()) if v is not None}
+        return json.dumps(fields, allow_nan=False)
 
 
 class ExactGainMode(Record):

@@ -16,7 +16,6 @@ from fluiddem.mechanisms import (
     GeneralContinuous,
     Indicator,
     LinearQ,
-    NotStrictlyPositiveError,
     RowNormalizedPhi,
     TabulatedPhi,
     Upward,
@@ -192,11 +191,7 @@ def dense_row_normalized_bounds(phi) -> tuple[float, float]:
     """A RowNormalizedPhi's bounds over 513 x plus its knots, at y = 0 and 1
     (oracle for RowNormalizedPhi.bounds, which takes the knots and the ends)."""
     xs = np.concatenate([np.linspace(0.0, 1.0, 513), phi.x_knots])
-    lo = float(np.min(phi(xs, 0.0)))
-    hi = float(np.max(phi(xs, 1.0)))
-    if lo <= 0.0:
-        raise NotStrictlyPositiveError("normalized phi attains 0")
-    return lo, hi
+    return float(np.min(phi(xs, 0.0))), float(np.max(phi(xs, 1.0)))
 
 
 def grid_bucket_sup_table(phi, boundaries, B):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from helpers import csv_writer_edges
 
-from fluiddem import AffineInY, harness
+from fluiddem import AffineInY, harness, processes
 from fluiddem.cli import COMMANDS, FLAGS, _bucket_inputs, main, parse_args
 from fluiddem.delegation_graph import sample_instance
 from fluiddem.harness import config_from_dict
@@ -600,6 +600,23 @@ BAD_PARAMETERS = [
     ("simulate", _confidence({"kind": "linear", "a": True, "b": " 0.8 "}), "mechanism.q.a"),
     ("gain", _confidence({"kind": "linear", "a": 0.8, "b": " 0.8 "}), "mechanism.q.b"),
     ("gain", {"seed": True}, "seed"),
+    # phi must be finite and strictly positive (mechanisms.positive_bounds), on its
+    # sampling base when read and, for processes, once normalized
+    ("simulate", _general({"kind": "exp_in_y", "lambda": 800.0}), "mechanism.phi"),
+    ("sixstep", _general({"kind": "exp_in_y", "lambda": 800.0}), "mechanism.phi"),
+    ("processes", {**BUCKET_CONFIG, "phi": {"kind": "row_normalized", "base": {"kind": "indicator"},
+                   "distribution": BUCKET_CONFIG["distribution"]}}, "phi"),
+    ("processes", {**BUCKET_CONFIG, "phi": {**TABULATED, "values": [[0.0, 0.0], [0.0, 0.0]]}}, "phi"),
+    ("processes", {**BUCKET_CONFIG, "phi": {**TABULATED, "values": [[0.0, 1.0], [0.0, 1.0]]}}, "phi"),
+    ("processes", {**BUCKET_CONFIG, "phi": {"kind": "exp_in_y", "lambda": 800.0}}, "phi"),
+    # the normalization's integral overflows (it hung in the quadrature fallback)
+    ("processes", {**BUCKET_CONFIG, "phi": {"kind": "exp_in_y", "lambda": 708.0}}, "phi"),
+    # the normalized minimum, 1e-300 / 5e299, underflows to 0
+    ("processes", {**BUCKET_CONFIG, "phi": {**TABULATED, "values": [[1e-300, 1e300], [1e-300, 1e300]]}},
+     "phi"),
+    # the manifest records the whole document, so a field the reader ignores must be finite too
+    ("gain", {"note": NAN}, "config"),
+    ("processes", {**BUCKET_CONFIG, "note": INF}, "config"),
 ]
 
 
@@ -609,6 +626,7 @@ BAD_PARAMETERS = [
 def test_non_finite_or_missing_parameter_exits_one_naming_it(tmp_path, capsys, monkeypatch, command, change, field):
     sampled = []
     monkeypatch.setattr(harness, "sample_instance", lambda *args: sampled.append(args))
+    monkeypatch.setattr(processes, "build_bucket_model", lambda *args: sampled.append(args))
     base = BUCKET_CONFIG if command == "processes" else {**GAIN_CONFIG, "sizes": [200]}
     cfg = write_config(tmp_path, {**base, **change})
     out = tmp_path / "x"

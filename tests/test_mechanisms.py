@@ -30,11 +30,11 @@ from fluiddem.mechanisms import (
     MECHANISM_KINDS,
     PHI_KINDS,
     Q_KINDS,
-    NotStrictlyPositiveError,
     PiecewiseLinearQ,
     RowNormalizedPhi,
     from_config,
     phi_mean_in_y,
+    positive_bounds,
 )
 
 UNIT = Uniform(0.0, 1.0)
@@ -79,7 +79,7 @@ def test_normalize_phi_examples():
     assert affine == AffineInY(0.5, 1.0)  # (1 + 2y) / 2
     grown = normalize_phi(ExpInY(1.0), UNIT)
     assert grown.scale == pytest.approx(1.0 / (math.e - 1.0), abs=1e-10)
-    with pytest.raises(NotStrictlyPositiveError):
+    with pytest.raises(ValueError, match="Indicator cannot be normalized"):
         normalize_phi(Indicator(), UNIT)
 
 
@@ -116,9 +116,20 @@ def test_phi_bounds_examples():
     lo, hi = ExpInY(1.0).bounds()
     assert lo == pytest.approx(1.0)
     assert hi == pytest.approx(math.e)
-    assert Indicator().bounds() == (0.0, 1.0)  # exempt from the positivity error
-    with pytest.raises(NotStrictlyPositiveError):
-        TabulatedPhi(((0.0, 1.0), (1.0, 2.0))).bounds()
+    assert Indicator().bounds() == (0.0, 1.0)  # bounds() reports; positive_bounds refuses
+    with pytest.raises(ValueError, match="strictly positive"):
+        positive_bounds(TabulatedPhi(((0.0, 1.0), (1.0, 2.0))))
+
+
+def test_positive_bounds_is_the_one_positivity_rule():
+    assert positive_bounds(AffineInY(1.0, 2.0)) == (1.0, 3.0)
+    assert ExpInY(800.0).bounds() == (1.0, math.inf)  # no overflow warning
+    for phi in (Indicator(), ExpInY(800.0), TabulatedPhi(((math.nan, 1.0), (1.0, 2.0)))):
+        with pytest.raises(ValueError, match="^field 'phi': must be finite and strictly positive"):
+            positive_bounds(phi)
+    # a general-continuous mechanism applies it to its phi's sampling base
+    with pytest.raises(ValueError, match="strictly positive"):
+        GeneralContinuous(0.3, RowNormalizedPhi(ExpInY(800.0), UNIT))
 
 
 def test_pair_weight_increasing_in_y_on_grid():
@@ -330,13 +341,13 @@ def test_row_normalized_bounds_match_dense_oracle(base, dist):
     # phi is monotone in x between knots, so the knots and the ends give the
     # same extremes, bit for bit, as 513 x do
     phi = RowNormalizedPhi(base, dist)
-    assert phi.bounds() == dense_row_normalized_bounds(phi)
+    assert positive_bounds(phi) == dense_row_normalized_bounds(phi)
 
 
 def test_row_normalized_bounds_refuse_zero():
     # the zero sits at a knot, (0, 0)
-    with pytest.raises(NotStrictlyPositiveError):
-        RowNormalizedPhi(TabulatedPhi(((0.0, 1.0), (1.0, 2.0))), UNIT).bounds()
+    with pytest.raises(ValueError, match="strictly positive"):
+        positive_bounds(RowNormalizedPhi(TabulatedPhi(((0.0, 1.0), (1.0, 2.0))), UNIT))
 
 
 def test_nested_row_normalization_flattens():

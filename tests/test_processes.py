@@ -469,6 +469,18 @@ def test_bucket_model_json_fields():
         assert key in payload
 
 
+def test_bucket_model_json_refuses_nan():
+    # RFC 8259 has no NaN: the writer raises instead of writing one
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _singleton_model(math.nan).to_json()
+
+
+def test_bucket_model_refuses_a_normalized_phi_that_underflows_to_zero():
+    phi = normalize_phi(TabulatedPhi(((1e-300, 1e300), (1e-300, 1e300))), Uniform(0.0, 1.0))
+    with pytest.raises(ValueError, match="strictly positive"):
+        build_bucket_model(phi, Uniform(0.0, 1.0), 0.3, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # multi-type Poisson branching
 

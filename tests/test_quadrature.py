@@ -15,7 +15,7 @@ from fluiddem import (
 )
 from fluiddem.distributions import expectation, nondelegator_mean
 from fluiddem.mechanisms import phi_mean_in_y, phi_y_moment
-from fluiddem.quadrature import gauss_legendre, integrate
+from fluiddem.quadrature import adaptive_simpson, gauss_legendre, integrate
 
 BENCH_GRID = TabulatedPhi(((1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.5, 4.0)))
 RAMP = PiecewiseLinearDensity(((0.0, 0.0), (1.0, 2.0)))
@@ -148,3 +148,13 @@ def test_integrate_batches_and_falls_back_per_entry(fallbacks):
     assert got[0] == pytest.approx(np.e - 1.0, rel=1e-14)
     assert got[1] == pytest.approx(0.3**2 / 2 + 0.7**2 / 2, rel=1e-11)
     assert integrate(f, 1.0, 1.0) == 0.0
+
+
+def test_fallback_refuses_a_non_finite_integral(fallbacks):
+    # at lam = 708 the two rules disagree and the Simpson sums near y = 1 pass
+    # 1.8e308: their NaN differences used to recurse to depth 48 on every branch
+    with pytest.raises(ValueError, match="not finite"):
+        phi_mean_in_y(ExpInY(708.0), Uniform(0.0, 1.0), 0.0)
+    assert fallbacks == [(0.0, 1.0)]
+    with pytest.raises(ValueError, match="not finite"):
+        adaptive_simpson(lambda t: math.nan, 0.0, 1.0)
