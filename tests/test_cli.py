@@ -609,7 +609,7 @@ BAD_PARAMETERS = [
     ("processes", {**BUCKET_CONFIG, "phi": {**TABULATED, "values": [[0.0, 0.0], [0.0, 0.0]]}}, "phi"),
     ("processes", {**BUCKET_CONFIG, "phi": {**TABULATED, "values": [[0.0, 1.0], [0.0, 1.0]]}}, "phi"),
     ("processes", {**BUCKET_CONFIG, "phi": {"kind": "exp_in_y", "lambda": 800.0}}, "phi"),
-    # the normalization's integral overflows (it hung in the quadrature fallback)
+    # the normalization's integral overflows in floating point
     ("processes", {**BUCKET_CONFIG, "phi": {"kind": "exp_in_y", "lambda": 708.0}}, "phi"),
     # the normalized minimum, 1e-300 / 5e299, underflows to 0
     ("processes", {**BUCKET_CONFIG, "phi": {**TABULATED, "values": [[1e-300, 1e300], [1e-300, 1e300]]}},
