@@ -18,8 +18,6 @@ composition in O(rows * n + m log n) for m delegators.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .record import Record
@@ -50,37 +48,14 @@ class WeightProfile(Record, eq=False):
     """Transitive delegation tallies for one graph.
 
     weight[i] = 1 + dels[i] for a non-delegating, non-nullified voter and 0
-    otherwise; nullified lists voters on cycles or delegating into them.
-    out and root (= forest_roots(out)[0]) are kept for dels, built on first use.
+    otherwise, dels[i] counting the voters whose ballots flow into i;
+    nullified lists voters on cycles or delegating into them.
     """
 
     weight: np.ndarray
     nullified: np.ndarray  # sorted voter indices
     max_weight: int
     total_weight: int
-    out: np.ndarray
-    root: np.ndarray
-
-    @cached_property
-    def dels(self) -> np.ndarray:
-        """dels[i] counts the (non-nullified) voters whose ballots flow into i.
-
-        Nullified voters report dels = 0. Subtree sizes are accumulated from
-        the leaves up, one frontier of finished subtrees at a time.
-        """
-        active = self.out[self.root] < 0
-        out = np.where(active, self.out, NO_EDGE)  # an acyclic forest
-        cnt = np.ones(out.shape[0], dtype=np.int64)
-        remaining = np.bincount(out[out >= 0], minlength=out.shape[0])
-        frontier = np.flatnonzero((remaining == 0) & (out >= 0))
-        while frontier.size:
-            parents = out[frontier]
-            np.add.at(cnt, parents, cnt[frontier])
-            np.subtract.at(remaining, parents, 1)
-            parents.sort()  # deduplicated without np.unique, which imports numpy.ma
-            parents = parents[np.concatenate(([True], parents[1:] != parents[:-1]))]
-            frontier = parents[(remaining[parents] == 0) & (out[parents] >= 0)]
-        return np.where(active, cnt - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +90,8 @@ def forest_roots(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_weights(graph: DelegationGraph) -> WeightProfile:
-    """Weights and the nullified set for one graph (dels on first access)."""
-    out = graph.out
-    root, nullified = forest_roots(out)
+    """Weights and the nullified set for one graph."""
+    root, nullified = forest_roots(graph.out)
     weight = np.bincount(root, minlength=graph.n)
     # a nullified walk ends on a delegating voter, whose weight is 0
     weight[root[nullified]] = 0
@@ -126,8 +100,6 @@ def compute_weights(graph: DelegationGraph) -> WeightProfile:
         nullified=nullified,
         max_weight=int(weight.max(initial=0)),
         total_weight=int(weight.sum()),
-        out=out,
-        root=root,
     )
 
 

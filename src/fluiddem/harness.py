@@ -13,7 +13,9 @@ are tallied exactly at every size up to tally.MAX_TOTAL_WEIGHT (the `exact`
 mode, also named `auto`), or by Monte Carlo when a config asks for it.
 
 The six-step sampler draws targets with the direct sampler's grid-row
-mixture kernel (mixture_targets) and mixes per-row sums for its weights.
+mixture kernel (mixture_targets), mixes per-row sums for its weights, each
+grid row evaluated once, and reads delegation counts off the weights of its
+direct voters.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .mechanisms import (
     MechanismSpec,
     gc_lift_constant,
     normalize_phi,
+    parse_field,
     read_record,
 )
 from .record import Record
@@ -242,10 +245,14 @@ def check_command(command: str, cfg: ExperimentConfig) -> ExperimentConfig:
     gain: sizes above tally.MAX_TOTAL_WEIGHT, in every gain mode (an instance
     of n voters has total weight at most n, so the limit bounds every exact
     tail the sweep computes). scaling: sizes spanning fewer than 2 decades.
-    sixstep: a mechanism other than kind 'general'. A size below 2 where the
-    run divides by ln n (scaling, and conditions fitting log_coefficient) or
-    needs two voters (sixstep). conditions: no alpha where the mechanism's
-    lift gives none; a missing alpha becomes the lift's.
+    sixstep: a mechanism other than kind 'general', or a phi whose
+    normalization is not finite. The other commands sample phi itself: the
+    largest size times phi's sup must stay below 2**1023, half the float
+    range, so that n pair weights sum to a finite number with room for the
+    cumulative sum's rounding. A size below 2 where the run divides by ln n
+    (scaling, and conditions fitting log_coefficient) or needs two voters
+    (sixstep). conditions: no alpha where the mechanism's lift gives none; a
+    missing alpha becomes the lift's.
     """
     if command == "gain" and max(cfg.sizes) > MAX_TOTAL_WEIGHT:
         raise ValueError(
@@ -253,8 +260,17 @@ def check_command(command: str, cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if command == "scaling" and max(cfg.sizes) < 100 * min(cfg.sizes):
         raise ValueError("field 'sizes': a scaling study needs sizes spanning >= 2 decades")
-    if command == "sixstep" and not cfg.mechanism.six_step:
-        raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
+    if command == "sixstep":
+        if not cfg.mechanism.six_step:
+            raise ValueError("field 'mechanism': the sixstep experiment needs kind 'general'")
+        parse_field("mechanism.phi", partial(normalize_phi, dist=cfg.distribution), cfg.mechanism.phi)
+    else:
+        sup = cfg.mechanism.phi.sampling_base.bounds()[1]
+        if max(cfg.sizes) * sup >= 2.0**1023:
+            raise ValueError(
+                f"field 'mechanism.phi': its sup {sup:.6g} times n = {max(cfg.sizes)} voters is not "
+                "below 2**1023, so a sum of its pair weights may overflow"
+            )
     divides_by_ln_n = command == "scaling" or (
         command == "conditions" and cfg.mechanism.delta_floor is None and cfg.log_coefficient is None
     )
@@ -457,7 +473,8 @@ def run_scaling_study(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
 
 
 class SixStepDiagnostics(Record):
-    """Per-step event indicators and the measured quantities behind them.
+    """Per-step event indicators and the measured quantities behind them, which
+    are the sixstep CSV's columns after the events (SIXSTEP_HEADER).
 
     Step 4 has no failure event and is reported as always holding. All
     thresholds use the slack parameter eps, the population mean mu and the
@@ -524,10 +541,13 @@ def run_six_step_sampler(
 
     # event 3: each delegator's weight on M, its weighted mean competence
     # there, and its weight on all others, mixed from per-row sums
-    mix = phi.row_mixture(p_vec[out_idx])
-    m_weight = mix.mixed(p_vec, lambda row: row[m_idx].sum())
-    gp_m = mix.mixed(p_vec, lambda row: float(np.dot(row[m_idx], p_vec[m_idx])))
-    total_weight_on_others = mix.mixed(p_vec, lambda row: row.sum() - row[out_idx])
+    m_comp = p_vec[m_idx]
+    m_weight, gp_m, total_weight_on_others = phi.row_mixture(p_vec[out_idx]).mixed(
+        p_vec,
+        lambda row: row[m_idx].sum(),
+        lambda row: float(np.dot(row[m_idx], m_comp)),
+        lambda row: row.sum() - row[out_idx],
+    )
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(m_weight > 0, gp_m / m_weight, np.nan)
     ratio_floor = (1.0 - eps) / (1.0 + eps) * (mu + lift_c)
@@ -548,15 +568,17 @@ def run_six_step_sampler(
         out_edges[rest_idx] = mixture_targets(phi, p_vec, rest_idx, out_idx, rng)
     partial = DelegationGraph(n, out_edges.copy())
     prof = compute_weights(partial)
-    max_dels = int(prof.dels.max(initial=0))
+    # dels peaks at a direct voter, whose weight is 1 + dels (0 if all are nullified)
+    max_dels = max(prof.max_weight - 1, 0)
     e5 = max_dels <= bound and prof.total_weight >= n - bound * bound * math.log(n)
 
-    # step 6: delegations of R, into M (R is empty when M is)
+    # step 6: delegations of R, into M (R is empty when M is); R votes directly
+    # in the partial graph, so each of its voters carries weight 1 + dels
     weighted_q = 0.0
     if r_idx.size:
         targets = mixture_targets(phi, p_vec, r_idx, m_idx, rng, forbid_self=False)
         out_edges[r_idx] = targets
-        weighted_q = float(np.dot(1.0 + prof.dels[r_idx], p_vec[targets]))
+        weighted_q = float(np.dot(prof.weight[r_idx], p_vec[targets]))
     q_floor = (1.0 - eps) ** 2 / (1.0 + eps) * (mu + lift_c) * (p - 2.0 * eps) * n
     e6 = weighted_q >= q_floor
 
@@ -574,23 +596,7 @@ def run_six_step_sampler(
     return p_vec, graph, diagnostics
 
 
-SIXSTEP_HEADER = [
-    "n",
-    "rep",
-    "e1",
-    "e2",
-    "e3",
-    "e4",
-    "e5",
-    "e6",
-    "m_size",
-    "r_size",
-    "delegator_comp_sum",
-    "min_m_ratio",
-    "max_dels_partial",
-    "total_weight_partial",
-    "weighted_q_sum",
-]
+SIXSTEP_HEADER = ["n", "rep", "e1", "e2", "e3", "e4", "e5", "e6", *SixStepDiagnostics._fields[1:]]
 
 
 def run_sixstep_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[tuple]:
@@ -609,7 +615,6 @@ def run_sixstep_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[tupl
             log_coefficient=coeff,
             lift_constant=lift,
         )
-        # the diagnostics after the events are the CSV's remaining columns, in order
         return (n, rep, *diag.events, *diag._values()[1:])
 
     return [row for rows in replicate(cfg, sixstep_row, threads) for row in rows]

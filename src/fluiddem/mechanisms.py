@@ -121,13 +121,16 @@ class RowMixture(Record, eq=False):
     t: np.ndarray  # each x's weight on row k + 1
     rows: int
 
-    def mixed(self, y, stat) -> np.ndarray:
-        """stat(phi(x_i, y)) per x_i, for a stat linear in the row: the rows' stats mixed."""
-        out = np.zeros(self.k.shape)
+    def mixed(self, y, *stats) -> list[np.ndarray]:
+        """[stat(phi(x_i, y)) per x_i for each stat], for stats linear in the row:
+        the rows' stats mixed, each row evaluated once for all of them."""
+        outs = [np.zeros(self.k.shape) for _ in stats]
         for c in range(self.rows):
             coef = np.where(self.k == c, 1.0 - self.t, 0.0) + np.where(self.k + 1 == c, self.t, 0.0)
-            out += coef * stat(self.row(c, y))
-        return out
+            row = self.row(c, y)
+            for out, stat in zip(outs, stats):
+                out += coef * stat(row)
+        return outs
 
 
 def _constant(value, x):
@@ -171,7 +174,7 @@ class PairWeight(Record):
 
     def row_sums(self, p_vec: np.ndarray) -> np.ndarray:
         """S[k] = sum over k' != k of phi(p_k, p_k'), mixed from per-row sums in O(rows * n)."""
-        return self.row_mixture(p_vec).mixed(p_vec, lambda row: row.sum() - row)
+        return self.row_mixture(p_vec).mixed(p_vec, lambda row: row.sum() - row)[0]
 
 
 class Indicator(PairWeight):

@@ -90,6 +90,36 @@ def pooled_chisq_pvalue(a, b, min_pooled: int = 20) -> float:
     return float(sps.chi2_contingency(table)[1])
 
 
+def naive_profile(out):
+    """O(n^2) reference: forward walks for nullification, then ancestor counts."""
+    n = len(out)
+    reaches_cycle = []
+    for s in range(n):
+        seen = {s}
+        v = s
+        hit = False
+        while out[v] >= 0:
+            v = out[v]
+            if v in seen:
+                hit = True
+                break
+            seen.add(v)
+        reaches_cycle.append(hit)
+    dels = [0] * n
+    for s in range(n):
+        if reaches_cycle[s]:
+            continue
+        v = s
+        while out[v] >= 0:
+            v = out[v]
+            dels[v] += 1
+    weight = [
+        0 if (reaches_cycle[i] or out[i] >= 0) else 1 + dels[i] for i in range(n)
+    ]
+    nullified = [i for i in range(n) if reaches_cycle[i]]
+    return dels, weight, nullified
+
+
 def dels_of_root(graph, root: int) -> int:
     """Transitive delegators of `root`, by pointer doubling (test-side oracle)."""
     n = graph.n

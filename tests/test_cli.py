@@ -101,6 +101,9 @@ AUTO_WITH_CAP = {"gain_mode": {"kind": "auto", "cap": 150}}
 NEGATIVE_SEED = "field 'seed': must be >= 0"
 GENERAL_CONSTANT1 = {"mechanism": {"kind": "general", "p": 0.3, "phi": {"kind": "constant1"}}}
 NO_LIFT = {"mechanism": {"kind": "confidence", "q": {"kind": "constant", "p": 0.3}}}
+# sup e^708 is finite, but neither its normalization nor 200 of its pair weights summed are
+GENERAL_EXP_708 = {"mechanism": {"kind": "general", "p": 0.3, "phi": {"kind": "exp_in_y", "lambda": 708.0}}}
+PHI_SUM_OVERFLOWS = "field 'mechanism.phi': its sup 3.02338e+307 times n = 200 voters is not below 2**1023"
 
 
 @pytest.mark.parametrize(
@@ -117,9 +120,13 @@ NO_LIFT = {"mechanism": {"kind": "confidence", "q": {"kind": "constant", "p": 0.
         ("conditions", {}, ["--sizes", "1,100"], "field 'sizes': conditions needs every size >= 2"),
         ("sixstep", GENERAL_CONSTANT1, ["--sizes", "1"], "field 'sizes': sixstep needs every size >= 2"),
         ("conditions", NO_LIFT, [], "field 'alpha': missing, and the mechanism's lift gives none"),
+        ("sixstep", GENERAL_EXP_708, [], "field 'mechanism.phi': the integral over"),
+        ("simulate", GENERAL_EXP_708, ["--sizes", "200"], PHI_SUM_OVERFLOWS),
+        ("gain", GENERAL_EXP_708, ["--sizes", "200"], PHI_SUM_OVERFLOWS),
     ],
     ids=["gain", "gain-config-sizes", "scaling", "sixstep", "gain-seed-override", "gain-config-seed",
-         "scaling-size-1", "conditions-size-1", "sixstep-size-1", "conditions-alpha-without-lift"],
+         "scaling-size-1", "conditions-size-1", "sixstep-size-1", "conditions-alpha-without-lift",
+         "sixstep-phi-normalization", "simulate-phi-sum", "gain-phi-sum"],
 )
 def test_command_check_exits_one_before_sampling(
     tmp_path, capsys, monkeypatch, command, config, argv, message

@@ -5,6 +5,7 @@ from helpers import (
     csv_writer_edges,
     from_edge_csv,
     full_doubling_roots,
+    naive_profile,
     pooled_chisq_pvalue,
     row_loop_targets,
     stable_count_greater,
@@ -44,36 +45,6 @@ def graph_of(*out):
     return DelegationGraph(len(out), np.array(out, dtype=np.int64))
 
 
-def naive_profile(out):
-    """O(n^2) reference: forward walks for nullification, then ancestor counts."""
-    n = len(out)
-    reaches_cycle = []
-    for s in range(n):
-        seen = {s}
-        v = s
-        hit = False
-        while out[v] >= 0:
-            v = out[v]
-            if v in seen:
-                hit = True
-                break
-            seen.add(v)
-        reaches_cycle.append(hit)
-    dels = [0] * n
-    for s in range(n):
-        if reaches_cycle[s]:
-            continue
-        v = s
-        while out[v] >= 0:
-            v = out[v]
-            dels[v] += 1
-    weight = [
-        0 if (reaches_cycle[i] or out[i] >= 0) else 1 + dels[i] for i in range(n)
-    ]
-    nullified = [i for i in range(n) if reaches_cycle[i]]
-    return dels, weight, nullified
-
-
 def random_functional_graphs(count, max_n, rng):
     for _ in range(count):
         n = int(rng.integers(1, max_n + 1))
@@ -97,7 +68,6 @@ def test_no_edges():
 def test_chain():
     # 0 -> 1 -> 2, voter 2 votes directly
     profile = compute_weights(graph_of(1, 2, NO_EDGE))
-    assert profile.dels[2] == 2
     assert profile.weight.tolist() == [0, 0, 3]
     assert profile.total_weight == 3
 
@@ -119,9 +89,8 @@ def test_stats_examples():
 def test_matches_naive_oracle_on_random_graphs():
     rng = substream(42)
     for graph in random_functional_graphs(300, 50, rng):
-        dels, weight, nullified = naive_profile(graph.out.tolist())
+        _, weight, nullified = naive_profile(graph.out.tolist())
         profile = compute_weights(graph)
-        assert profile.dels.tolist() == dels
         assert profile.weight.tolist() == weight
         assert profile.nullified.tolist() == nullified
         assert profile.total_weight + len(profile.nullified) == graph.n
@@ -142,14 +111,26 @@ def test_adversarial_shapes_match_naive_oracle(n):
     # (n-1).bit_length() = 10 doubling rounds the kernel allows
     for name, out in adversarial_shapes(n).items():
         profile = compute_weights(graph_of(*out))
-        assert "dels" not in vars(profile), "dels must be computed on first access only"
-        assert np.array_equal(profile.root, full_doubling_roots(profile.out)), name
-        dels, weight, nullified = naive_profile(out)
+        edges = np.array(out, dtype=np.int64)
+        assert np.array_equal(forest_roots(edges)[0], full_doubling_roots(edges)), name
+        _, weight, nullified = naive_profile(out)
         assert profile.weight.tolist() == weight, name
         assert profile.nullified.tolist() == nullified, name
-        assert profile.dels.tolist() == dels, name
         assert profile.max_weight == max(weight), name
         assert profile.total_weight == sum(weight), name
+
+
+def test_delegation_counts_are_read_off_the_weights():
+    # the six-step sampler reads dels off the weights: its peak, and its value at a direct voter
+    rng = substream(44)
+    graphs = [graph.out.tolist() for graph in random_functional_graphs(300, 50, rng)]
+    graphs += [out for n in (1, 2, 3, 1024) for out in adversarial_shapes(n).values()]
+    for out in graphs:
+        profile = compute_weights(graph_of(*out))
+        dels = np.array(naive_profile(out)[0])
+        direct = np.array(out) == NO_EDGE
+        assert dels.max() == max(profile.max_weight - 1, 0), out
+        assert np.array_equal(dels[direct], profile.weight[direct] - 1), out
 
 
 def test_forest_roots_match_full_doubling_with_cycles():

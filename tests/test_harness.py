@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import default_mechanisms
+from helpers import default_mechanisms, naive_profile
 
 from fluiddem import (
     AffineInY,
@@ -573,6 +573,26 @@ def test_six_step_tabulated_phi_runs():
     _, graph, diag = run_six_step_sampler(mech, UNIT, 400, substream(5))
     assert graph.n == 400
     assert len(diag.events) == 6
+
+
+@pytest.mark.parametrize("n", [50, 500, 2000])
+def test_six_step_partial_graph_counts_match_the_oracle(n):
+    # step 5's partial graph is the returned graph without R's edges, and R is
+    # exactly the delegators whose target has no edge (M holds no delegator)
+    for phi in (BENCH_GRID, AffineInY(1.0, 2.0)):
+        for seed in range(3):
+            p_vec, graph, diag = run_six_step_sampler(
+                GeneralContinuous(0.6, phi), UNIT, n, substream(8, seed)
+            )
+            out = graph.out
+            r_idx = np.flatnonzero((out >= 0) & (out[np.maximum(out, 0)] < 0))
+            assert r_idx.size == diag.r_size
+            partial = out.copy()
+            partial[r_idx] = NO_EDGE
+            dels = np.array(naive_profile(partial.tolist())[0])
+            assert diag.max_dels_partial == dels.max()
+            weighted_q = float(np.sum((1 + dels[r_idx]) * p_vec[out[r_idx]]))
+            assert diag.weighted_q_sum == pytest.approx(weighted_q, rel=1e-12, abs=1e-12)
 
 
 def test_sixstep_experiment_rows():

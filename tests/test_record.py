@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fluiddem.delegation_graph import DelegationGraph, compute_weights
+from fluiddem.delegation_graph import DelegationGraph
 from fluiddem.distributions import Uniform
 from fluiddem.harness import ExactGainMode, ExperimentConfig
 from fluiddem.mechanisms import ExpInY, RowNormalizedPhi, TabulatedPhi, Upward
@@ -107,8 +107,5 @@ def test_pickle_round_trip_keeps_equality():
 
 
 def test_cached_properties_still_cache():
-    profile = compute_weights(DelegationGraph(4, np.array([-1, 0, 1, -1])))
-    assert "dels" not in vars(profile)
-    assert profile.dels is profile.dels and profile.dels.tolist() == [2, 1, 0, 0]
     phi = RowNormalizedPhi(ExpInY(1.0), UNIT)
     assert phi._means is phi._means
